@@ -24,6 +24,7 @@ Two execution modes are provided:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, Generator, Iterable
 
 from ..errors import InvalidAddressError, PageFaultError
@@ -37,9 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PageTable:
     """Residency map of one managed buffer.
 
-    Pages are fixed-size; the final page may be partial.  Residency is
-    tracked per page index; all pages start at the buffer's home
-    location (first-touch by the allocating processor, as HIP does).
+    Pages are fixed-size; the final page may be partial.  All pages
+    start at the buffer's home location (first-touch by the allocating
+    processor, as HIP does).  Residency is a run-length extent map: run
+    ``i`` covers pages ``[starts[i], starts[i+1])`` (the last run ends
+    at ``num_pages``) and sits at ``locations[i]``.  Adjacent runs
+    always differ in location, so a buffer migrated as a whole is one
+    run however many pages it has, and range queries and updates cost
+    O(runs touched), not O(pages).
     """
 
     def __init__(self, size: int, page_size: int, home: Location) -> None:
@@ -50,7 +56,8 @@ class PageTable:
         self.size = size
         self.page_size = page_size
         self.num_pages = -(-size // page_size)
-        self._residency: list[Location] = [home] * self.num_pages
+        self._starts: list[int] = [0]
+        self._locations: list[Location] = [home]
         #: Migration counters, for tests and traces.
         self.migrations_in: int = 0
         self.migrations_out: int = 0
@@ -65,16 +72,18 @@ class PageTable:
 
     def location_of(self, offset: int) -> Location:
         """Current residency of the page holding an offset."""
-        return self._residency[self.page_of(offset)]
+        return self.page_location(self.page_of(offset))
+
+    def _check_page(self, page_index: int) -> None:
+        if not 0 <= page_index < self.num_pages:
+            raise InvalidAddressError(
+                f"page {page_index} outside table of {self.num_pages} pages"
+            )
 
     def page_location(self, page_index: int) -> Location:
         """Current residency of a page index."""
-        try:
-            return self._residency[page_index]
-        except IndexError:
-            raise InvalidAddressError(
-                f"page {page_index} outside table of {self.num_pages} pages"
-            ) from None
+        self._check_page(page_index)
+        return self._locations[bisect_right(self._starts, page_index) - 1]
 
     def pages_in_range(self, offset: int, length: int) -> range:
         """Page indices touched by ``[offset, offset+length)``."""
@@ -86,46 +95,111 @@ class PageTable:
             )
         return range(offset // self.page_size, (offset + length - 1) // self.page_size + 1)
 
+    def _check_span(self, first: int, stop: int) -> None:
+        if not 0 <= first < stop <= self.num_pages:
+            raise InvalidAddressError(
+                f"pages [{first}, {stop}) outside table of {self.num_pages} pages"
+            )
+
+    def runs(
+        self, first: int = 0, stop: int | None = None
+    ) -> list[tuple[int, int, Location]]:
+        """``(start, stop, location)`` runs overlapping pages ``[first, stop)``.
+
+        Runs are clipped to the range and come in ascending page order;
+        the default range is the whole table.
+        """
+        if stop is None:
+            stop = self.num_pages
+        self._check_span(first, stop)
+        starts = self._starts
+        i = bisect_right(starts, first) - 1
+        j = bisect_left(starts, stop, lo=i + 1)
+        bounds = [first, *starts[i + 1 : j], stop]
+        return list(zip(bounds, bounds[1:], self._locations[i:j]))
+
+    def set_range(self, first: int, stop: int, target: Location) -> int:
+        """Move pages ``[first, stop)`` to ``target``; returns pages moved."""
+        moved = sum(
+            run_stop - run_start
+            for run_start, run_stop, location in self.runs(first, stop)
+            if location != target
+        )
+        if not moved:
+            return 0
+        starts, locations = self._starts, self._locations
+        # Runs i..j-1 overlap the range; run j-1 ends at ``end``.
+        i = bisect_right(starts, first) - 1
+        j = bisect_left(starts, stop, lo=i + 1)
+        end = starts[j] if j < len(starts) else self.num_pages
+        # Re-split runs i..j-1 around the range, together with one
+        # neighbour on each side so that equal locations merge.
+        lo, hi = i, j
+        pieces: list[tuple[int, Location]] = []
+        if lo > 0:
+            lo -= 1
+            pieces.append((starts[lo], locations[lo]))
+        if starts[i] < first:
+            pieces.append((starts[i], locations[i]))
+        pieces.append((first, target))
+        if end > stop:
+            pieces.append((stop, locations[j - 1]))
+        if hi < len(starts):
+            pieces.append((starts[hi], locations[hi]))
+            hi += 1
+        merged: list[tuple[int, Location]] = []
+        for start, location in pieces:
+            if not merged or merged[-1][1] != location:
+                merged.append((start, location))
+        starts[lo:hi] = [start for start, _ in merged]
+        locations[lo:hi] = [location for _, location in merged]
+        if target.is_device:
+            self.migrations_in += moved
+        else:
+            self.migrations_out += moved
+        return moved
+
     def nonresident_pages(
         self, offset: int, length: int, target: Location
     ) -> list[int]:
         """Pages of a range not currently at ``target``."""
+        pages = self.pages_in_range(offset, length)
         return [
-            p
-            for p in self.pages_in_range(offset, length)
-            if self._residency[p] != target
+            page
+            for start, stop, location in self.runs(pages.start, pages.stop)
+            if location != target
+            for page in range(start, stop)
         ]
 
     def migrate(self, page_index: int, target: Location) -> None:
         """Move one page to a target location (idempotent)."""
-        current = self.page_location(page_index)
-        if current == target:
-            return
-        self._residency[page_index] = target
-        if target.is_device:
-            self.migrations_in += 1
-        else:
-            self.migrations_out += 1
+        self._check_page(page_index)
+        self.set_range(page_index, page_index + 1, target)
 
     def migrate_range(self, offset: int, length: int, target: Location) -> int:
         """Migrate all pages of a range; returns pages moved."""
-        moved = 0
-        for page in self.pages_in_range(offset, length):
-            if self._residency[page] != target:
-                self.migrate(page, target)
-                moved += 1
-        return moved
+        pages = self.pages_in_range(offset, length)
+        return self.set_range(pages.start, pages.stop, target)
 
     def resident_fraction(self, target: Location) -> float:
         """Fraction of pages currently at a location."""
-        at_target = sum(1 for loc in self._residency if loc == target)
+        at_target = sum(
+            stop - start
+            for start, stop, location in self.runs()
+            if location == target
+        )
         return at_target / self.num_pages
+
+    def range_bytes(self, first: int, stop: int) -> int:
+        """Bytes held by pages ``[first, stop)`` (only the last page may
+        be partial)."""
+        self._check_span(first, stop)
+        return min(stop * self.page_size, self.size) - first * self.page_size
 
     def page_bytes(self, page_index: int) -> int:
         """Size of a page (the last page may be partial)."""
-        self.page_location(page_index)  # bounds check
-        start = page_index * self.page_size
-        return min(self.page_size, self.size - start)
+        self._check_page(page_index)
+        return min(self.page_size, self.size - page_index * self.page_size)
 
 
 class MigrationEngine:
@@ -183,32 +257,38 @@ class MigrationEngine:
         if table is None:
             raise PageFaultError("buffer has no page table (not managed)")
         target = Location.gcd(gcd_index)
-        pending = table.nonresident_pages(offset, length, target)
-        if not pending:
+        pages = table.pages_in_range(offset, length)
+        runs = [
+            run for run in table.runs(pages.start, pages.stop) if run[2] != target
+        ]
+        if not runs:
             return
         if not xnack_enabled:
             raise PageFaultError(
                 f"GPU fault on non-resident managed page (HSA_XNACK=0); "
-                f"buffer {buffer.label!r} page {pending[0]}"
+                f"buffer {buffer.label!r} page {runs[0][0]}"
             )
         if self.discrete:
+            # One fault per page: the runs expand back into pages.
+            pending = [page for start, stop, _ in runs for page in range(start, stop)]
             yield from self._migrate_discrete(
                 table, pending, target, gcd_index, parent_span=parent_span
             )
         else:
             yield from self._migrate_fluid(
-                table, pending, target, gcd_index, parent_span=parent_span
+                table, runs, target, gcd_index, parent_span=parent_span
             )
 
     def _migrate_fluid(
         self,
         table: PageTable,
-        pages: list[int],
+        runs: list[tuple[int, int, Location]],
         target: Location,
         gcd_index: int,
         *,
         parent_span: "object" = None,
     ) -> Generator:
+        num_pages = sum(stop - start for start, stop, _ in runs)
         spans = self.node.spans
         span = (
             spans.begin(
@@ -216,25 +296,29 @@ class MigrationEngine:
                 "migrate-fluid",
                 start=self.node.now,
                 parent=parent_span,
-                pages=len(pages),
+                pages=num_pages,
                 gcd=gcd_index,
             )
             if spans
             else None
         )
-        # Group pages by their current source so each group is one flow.
-        by_source: dict[Location, list[int]] = {}
-        for page in pages:
-            by_source.setdefault(table.page_location(page), []).append(page)
+        # Group runs by their current source so each group is one flow;
+        # sources come in order of their first (lowest) page.
+        pages_by_source: dict[Location, int] = {}
+        bytes_by_source: dict[Location, int] = {}
+        for first, stop, source in runs:
+            pages_by_source[source] = pages_by_source.get(source, 0) + stop - first
+            bytes_by_source[source] = bytes_by_source.get(
+                source, 0
+            ) + table.range_bytes(first, stop)
         flows = []
-        for source, group in by_source.items():
-            total = sum(table.page_bytes(p) for p in group)
+        for source, total in bytes_by_source.items():
             cap = self.fault_bound_rate(source, gcd_index)
             flow = self.node.start_flow(
                 self._transfer_channels(source, gcd_index),
                 total,
                 cap=cap,
-                label=f"xnack-migrate x{len(group)}",
+                label=f"xnack-migrate x{pages_by_source[source]}",
                 span=span,
             )
             flows.append(flow)
@@ -242,9 +326,8 @@ class MigrationEngine:
         yield self.node.engine.all_of([f.done for f in flows])
         if span is not None:
             spans.finish(span, self.node.now)
-        for source, group in by_source.items():
-            for page in group:
-                table.migrate(page, target)
+        for first, stop, _ in runs:
+            table.set_range(first, stop, target)
         tracer = self.node.tracer
         if tracer.enabled:
             tracer.record(
@@ -252,13 +335,13 @@ class MigrationEngine:
                 self.node.now,
                 "fault",
                 "migrate-fluid",
-                pages=len(pages),
+                pages=num_pages,
                 gcd=gcd_index,
             )
         metrics = self.node.metrics
         if metrics:
             metrics.counter("memory/faults").inc()
-            metrics.counter("memory/pages_migrated").inc(len(pages))
+            metrics.counter("memory/pages_migrated").inc(num_pages)
 
     def _migrate_discrete(
         self,
@@ -326,14 +409,10 @@ class MigrationEngine:
         table = buffer.page_table
         if table is None:
             raise PageFaultError("prefetch needs a managed buffer")
+        runs = [run for run in table.runs() if run[2] != target]
         by_source: dict[Location, int] = {}
-        pages_by_source: dict[Location, list[int]] = {}
-        for page in range(table.num_pages):
-            source = table.page_location(page)
-            if source == target:
-                continue
-            by_source[source] = by_source.get(source, 0) + table.page_bytes(page)
-            pages_by_source.setdefault(source, []).append(page)
+        for start, stop, source in runs:
+            by_source[source] = by_source.get(source, 0) + table.range_bytes(start, stop)
         if not by_source:
             return
         flows = []
@@ -355,6 +434,5 @@ class MigrationEngine:
                 self.node.start_flow(channels, total, cap=cap, label="prefetch")
             )
         yield self.node.engine.all_of([f.done for f in flows])
-        for source, group in pages_by_source.items():
-            for page in group:
-                table.migrate(page, target)
+        for start, stop, _ in runs:
+            table.set_range(start, stop, target)

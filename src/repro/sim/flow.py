@@ -204,6 +204,7 @@ class FlowNetwork:
         self._last_update = 0.0
         self._incremental = incremental
         self._alarm: TimerHandle | None = None
+        self._alarm_at = math.inf
         choice = resolve_backend(backend)
         self.backend_requested = choice.requested
         self.backend = choice.effective
@@ -650,9 +651,19 @@ class FlowNetwork:
         ``None`` (legacy mode), the whole system is re-solved from
         scratch with the global reference algorithm.
         """
+        # An alarm already due in this epoch stays queued where it is:
+        # it re-arms from fresh state when it fires, and cancelling it
+        # would let a flow that is done to within epsilon re-arm at
+        # ``now + remaining/rate`` — one ulp late — under per-event
+        # solving but not under epoch deferral, whose same-epoch churn
+        # reaches this point only after the alarm has fired.
+        keep_alarm = False
         if self._alarm is not None:
-            self._alarm.cancel()
-            self._alarm = None
+            if self._alarm_at == self.engine.now:
+                keep_alarm = True
+            else:
+                self._alarm.cancel()
+                self._alarm = None
         if self._metrics:
             self._metrics.counter("network/rate_changes").inc()
         active = self._active
@@ -689,6 +700,8 @@ class FlowNetwork:
                 arr_rate[flow.slot] = rate
             if bottlenecks is not None:
                 flow.blame_key = self._blame_key(bottlenecks.get(flow_id), flow)
+        if keep_alarm:
+            return
         # Next completion: min over remaining/rate.  Division is
         # element-wise and min is order-independent for the NaN-free
         # operands here (rates are strictly positive), so all three
@@ -708,6 +721,7 @@ class FlowNetwork:
                 next_completion = float((rem[:n] / arr_rate[:n]).min())
         next_completion = max(next_completion, 0.0)
         self._alarm = self.engine.schedule(next_completion, self._on_completion_alarm)
+        self._alarm_at = self.engine.now + next_completion
 
     def _blame_key(self, bottleneck: Hashable | None, flow: Flow) -> str:
         """Flattened blame-bucket name for a solver freeze reason.

@@ -6,7 +6,7 @@ from repro.errors import InvalidAddressError, PageFaultError
 from repro.hardware.node import HardwareNode
 from repro.memory.buffer import Location, MemoryKind
 from repro.memory.pages import MigrationEngine, PageTable
-from repro.units import KiB, MiB
+from repro.units import GiB, KiB, MiB
 
 
 class TestPageTable:
@@ -55,6 +55,35 @@ class TestPageTable:
             table.pages_in_range(0, 0)
         with pytest.raises(InvalidAddressError):
             table.pages_in_range(50, 100)
+
+    @pytest.mark.parametrize("page", [-1, -2, 2, 3])
+    def test_page_index_outside_table_is_rejected(self, page):
+        # Negative indices must not wrap around to the last pages.
+        table = PageTable(4097, 4096, Location.host(0))
+        with pytest.raises(InvalidAddressError):
+            table.page_location(page)
+        with pytest.raises(InvalidAddressError):
+            table.page_bytes(page)
+        with pytest.raises(InvalidAddressError):
+            table.migrate(page, Location.gcd(0))
+        assert table.resident_fraction(Location.host(0)) == 1.0
+        assert (table.migrations_in, table.migrations_out) == (0, 0)
+
+    def test_partial_last_page_bytes(self):
+        table = PageTable(4097, 4096, Location.host(0))
+        assert table.page_bytes(table.num_pages - 1) == 1
+        assert table.range_bytes(0, table.num_pages) == 4097
+
+    def test_whole_range_migration_is_one_run(self):
+        table = self.make()
+        table.migrate_range(4 * KiB, 8 * KiB, Location.gcd(1))
+        assert table.runs() == [
+            (0, 1, Location.host(0)),
+            (1, 3, Location.gcd(1)),
+            (3, 10, Location.host(0)),
+        ]
+        assert table.migrate_range(0, 40 * KiB, Location.gcd(1)) == 8
+        assert table.runs() == [(0, 10, Location.gcd(1))]
 
     def test_invalid_page_size(self):
         with pytest.raises(InvalidAddressError):
@@ -159,6 +188,31 @@ class TestMigrationEngine:
 
         hip.run(run())
         assert buffer.page_table.resident_fraction(Location.host(0)) == 1.0
+
+    def test_fluid_migration_scales_with_runs_not_pages(self, hip, monkeypatch):
+        """A 64 GiB (16M-page) fault never touches residency page by page."""
+        calls = []
+        migrate = PageTable.migrate
+
+        def counting_migrate(table, page_index, target):
+            calls.append(page_index)
+            migrate(table, page_index, target)
+
+        monkeypatch.setattr(PageTable, "migrate", counting_migrate)
+        size = 64 * GiB
+        buffer = self._managed_buffer(hip, size)
+        table = buffer.page_table
+        assert table.num_pages == 16 * 1024 * 1024
+
+        def run():
+            yield from hip.migration.migrate_for_access(
+                buffer, 0, size, 0, xnack_enabled=True
+            )
+
+        hip.run(run())
+        assert table.runs() == [(0, table.num_pages, Location.gcd(0))]
+        assert table.migrations_in == table.num_pages
+        assert calls == []
 
     def test_non_managed_buffer_rejected(self, hip):
         engine = MigrationEngine(hip.node)
