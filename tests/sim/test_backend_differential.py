@@ -19,8 +19,12 @@ from repro.sim.backends import (
     numpy_available,
     resolve_backend,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
+from repro.sim.fairshare import FlowSpec, allocation_is_feasible
 from repro.sim.flow import FlowNetwork
+
+from .flow_oracle import OracleFlowNetwork, run_workload
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy required for vectorized backend"
@@ -30,50 +34,6 @@ pytestmark = pytest.mark.skipif(
 EFFECTIVE_BACKENDS = ["python", "vectorized"] + (
     ["compiled"] if compiled_available() else []
 )
-
-
-def run_workload(backend, capacities, flow_specs, capacity_changes=()):
-    """Run one mixed workload; returns the full observable trace.
-
-    ``flow_specs`` is a list of ``(channel_indices, size, delay, cap)``;
-    ``capacity_changes`` of ``(at, channel_index, capacity)``.  The
-    trace captures everything figure code could read: completion order
-    with exact timestamps, per-flow elapsed/achieved_rate, and the
-    final engine state.
-    """
-    engine = SimEngine()
-    net = FlowNetwork(engine, backend=backend)
-    for index, capacity in enumerate(capacities):
-        net.add_channel(f"ch{index}", capacity)
-    completions = []
-    flows = []
-
-    def start(spec):
-        channels, size, delay, cap = spec
-
-        def proc():
-            if delay:
-                yield engine.timeout(delay)
-            flow = net.transfer([f"ch{c}" for c in channels], size, cap=cap)
-            flows.append(flow)
-            yield flow.done
-            completions.append((flow.flow_id, engine.now))
-
-        engine.process(proc())
-
-    for spec in flow_specs:
-        start(spec)
-    for at, index, capacity in capacity_changes:
-        engine.schedule(at, net.set_capacity, f"ch{index}", capacity)
-    engine.run()
-    return {
-        "completions": completions,
-        "elapsed": [flow.elapsed for flow in flows],
-        "rates": [flow.achieved_rate for flow in flows],
-        "final_time": engine.now,
-        "events": engine.events_delivered,
-        "timers": engine.timers_fired,
-    }
 
 
 @st.composite
@@ -114,31 +74,77 @@ def workloads(draw):
     return capacities, flow_specs, changes
 
 
+def backend_network(backend):
+    return lambda engine, spans: FlowNetwork(engine, backend=backend, spans=spans)
+
+
 class TestBackendsBitIdentical:
     @settings(max_examples=40, deadline=None)
     @given(workload=workloads())
     def test_random_workloads_agree_exactly(self, workload):
         capacities, flow_specs, changes = workload
-        baseline = run_workload("python", capacities, flow_specs, changes)
-        for backend in EFFECTIVE_BACKENDS[1:]:
+        oracle = run_workload(OracleFlowNetwork, capacities, flow_specs, changes)
+        for backend in EFFECTIVE_BACKENDS:
             assert run_workload(
-                backend, capacities, flow_specs, changes
-            ) == baseline, backend
+                backend_network(backend), capacities, flow_specs, changes
+            ) == oracle, backend
 
     def test_same_time_completions_keep_flow_id_order(self):
-        # Two equal flows on one channel finish at the same instant;
-        # completion callbacks must fire in flow-id order on every
-        # backend (the vectorized path detects them as one batch).
-        traces = {
-            backend: run_workload(
-                backend, [100.0], [([0], 50.0, 0.0, float("inf"))] * 3
-            )
-            for backend in EFFECTIVE_BACKENDS
-        }
-        ids = [fid for fid, _ in traces["python"]["completions"]]
+        # Equal flows on one channel finish at the same instant;
+        # completion callbacks must fire in flow-id order (the
+        # vectorized path detects them as one batch).
+        workload = ([100.0], [([0], 50.0, 0.0, float("inf"))] * 3)
+        oracle = run_workload(OracleFlowNetwork, *workload)
+        ids = [fid for fid, _ in oracle["completions"]]
         assert ids == sorted(ids)
-        for backend, trace in traces.items():
-            assert trace == traces["python"], backend
+        for backend in EFFECTIVE_BACKENDS:
+            assert run_workload(backend_network(backend), *workload) == oracle
+
+
+class TestPhysicalInvariants:
+    """Capacity, clock and byte conservation, checked after every re-level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(workload=workloads())
+    def test_every_relevel_is_feasible_and_bytes_are_conserved(self, workload):
+        capacities, flow_specs, changes = workload
+        engine = SimEngine()
+        metrics = MetricsRegistry()
+        net = FlowNetwork(engine, metrics=metrics)
+        resolve = net._resolve_and_schedule
+        clock = [0.0]
+
+        def checked_resolve(*args, **kwargs):
+            resolve(*args, **kwargs)
+            live = list(net._active.values())
+            specs = [FlowSpec(f.flow_id, f.channels, f.cap) for f in live]
+            rates = {f.flow_id: f.rate for f in live}
+            assert allocation_is_feasible(specs, net.capacities(), rates)
+            assert engine.now >= clock[0], "engine clock ran backwards"
+            clock[0] = engine.now
+
+        net._resolve_and_schedule = checked_resolve
+        for index, capacity in enumerate(capacities):
+            net.add_channel(f"ch{index}", capacity)
+        flows = []
+
+        def start(channels, size, delay, cap):
+            if delay:
+                yield engine.timeout(delay)
+            flow = net.transfer([f"ch{c}" for c in channels], size, cap=cap)
+            flows.append(flow)
+            yield flow.done
+
+        for spec in flow_specs:
+            engine.process(start(*spec))
+        for at, index, capacity in changes:
+            engine.schedule(at, net.set_capacity, f"ch{index}", capacity)
+        engine.run()
+
+        assert all(flow.completed for flow in flows)
+        moved = sum(usage.bytes for usage in metrics.channels().values())
+        expected = sum(flow.size * len(flow.channels) for flow in flows)
+        assert moved == pytest.approx(expected, rel=1e-9)
 
 
 class TestBackendSelection:

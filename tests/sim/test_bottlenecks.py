@@ -9,8 +9,9 @@ from repro.sim.fairshare import (
     FairshareSolver,
     FlowSpec,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
 )
+
+from .flow_oracle import max_min_fair_rates_reference
 
 
 class TestReferenceAttribution:

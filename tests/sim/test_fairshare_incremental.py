@@ -21,8 +21,9 @@ from repro.sim.fairshare import (
     FlowSpec,
     allocation_is_feasible,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
 )
+
+from .flow_oracle import max_min_fair_rates_reference
 
 CHANNELS = [f"ch{i}" for i in range(12)]
 CAPACITIES = {

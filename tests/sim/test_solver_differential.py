@@ -31,6 +31,8 @@ from repro.sim.engine import SimEngine
 from repro.sim.fairshare import FairshareSolver, FlowSpec, max_min_fair_rates
 from repro.sim.flow import FlowNetwork
 
+from .flow_oracle import OracleFlowNetwork, run_workload
+
 #: Channel universe for the solver-level fuzz: a clique-ish core the
 #: dirty threshold actually triggers on, plus private leaf channels.
 CHANNELS = {
@@ -87,9 +89,13 @@ def op_sequences(draw):
     return ops
 
 
-def apply_ops(solver, ops):
-    """Run a script; returns ``[(rates, bottlenecks)]`` after each op."""
-    states = []
+def assert_ops_match_batch(solver, ops):
+    """Run a script, checking the solver against the batch oracle.
+
+    After every add, remove or ``set_capacity``, the solver's cached
+    rates and freeze reasons must equal a from-scratch
+    :func:`max_min_fair_rates` over the live flows, bit for bit.
+    """
     added = set()
     for op in ops:
         if op[0] == "add":
@@ -102,8 +108,12 @@ def apply_ops(solver, ops):
                 solver.remove_flow(flow_id)
         else:
             solver.set_capacity(op[1], op[2])
-        states.append((dict(solver.rates()), dict(solver.bottlenecks())))
-    return states
+        bottlenecks = {}
+        rates = max_min_fair_rates(
+            solver.flows(), solver.capacities(), bottlenecks
+        )
+        assert solver.rates() == rates
+        assert solver.bottlenecks() == bottlenecks
 
 
 def fresh_solver(dirty):
@@ -116,16 +126,14 @@ def fresh_solver(dirty):
 class TestDirtyReplayBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(ops=op_sequences())
-    def test_dirty_equals_full_on_random_scripts(self, ops):
-        dirty_states = apply_ops(fresh_solver(dirty=True), ops)
-        full_states = apply_ops(fresh_solver(dirty=False), ops)
-        assert dirty_states == full_states
+    def test_every_step_matches_batch_oracle(self, ops):
+        assert_ops_match_batch(fresh_solver(dirty=True), ops)
 
     @settings(max_examples=25, deadline=None)
     @given(ops=op_sequences())
     def test_dirty_matches_batch_oracle_at_end(self, ops):
         solver = fresh_solver(dirty=True)
-        apply_ops(solver, ops)
+        assert_ops_match_batch(solver, ops)
         flows = solver.flows()
         if not flows:
             return
@@ -168,47 +176,6 @@ class TestDirtyReplayBitIdentical:
         assert solver.stats.dirty_relevels == 0
 
 
-def run_network_workload(solver, capacities, flow_specs, capacity_changes=()):
-    """One FlowNetwork workload; returns the full observable trace.
-
-    Mirrors the backend-differential harness: ``flow_specs`` is a list
-    of ``(channel_indices, size, delay, cap)``, ``capacity_changes`` of
-    ``(at, channel_index, capacity)``.  Delays repeat across flows on
-    purpose — same-timestamp bursts are the epoch-deferral regime.
-    """
-    engine = SimEngine()
-    net = FlowNetwork(engine, solver=solver)
-    for index, capacity in enumerate(capacities):
-        net.add_channel(f"ch{index}", capacity)
-    completions = []
-    flows = []
-
-    def start(spec):
-        channels, size, delay, cap = spec
-
-        def proc():
-            if delay:
-                yield engine.timeout(delay)
-            flow = net.transfer([f"ch{c}" for c in channels], size, cap=cap)
-            flows.append(flow)
-            yield flow.done
-            completions.append((flow.flow_id, engine.now))
-
-        engine.process(proc())
-
-    for spec in flow_specs:
-        start(spec)
-    for at, index, capacity in capacity_changes:
-        engine.schedule(at, net.set_capacity, f"ch{index}", capacity)
-    engine.run()
-    return {
-        "completions": completions,
-        "elapsed": [flow.elapsed for flow in flows],
-        "rates": [flow.achieved_rate for flow in flows],
-        "final_time": engine.now,
-    }
-
-
 @st.composite
 def network_workloads(draw):
     n_channels = draw(st.integers(min_value=1, max_value=4))
@@ -249,31 +216,33 @@ def network_workloads(draw):
     return capacities, flow_specs, changes
 
 
+def strategy_network(strategy):
+    return lambda engine, spans: FlowNetwork(engine, solver=strategy, spans=spans)
+
+
 class TestEpochDeferredBitIdentical:
     @settings(max_examples=40, deadline=None)
     @given(workload=network_workloads())
     def test_strategies_agree_on_completion_times(self, workload):
         capacities, flow_specs, changes = workload
-        baseline = run_network_workload("full", capacities, flow_specs, changes)
-        for strategy in ("eager", "dirty"):
+        oracle = run_workload(OracleFlowNetwork, capacities, flow_specs, changes)
+        for strategy in SOLVER_STRATEGIES:
             assert (
-                run_network_workload(strategy, capacities, flow_specs, changes)
-                == baseline
+                run_workload(
+                    strategy_network(strategy), capacities, flow_specs, changes
+                )
+                == oracle
             ), strategy
 
     def test_same_epoch_burst_single_solve(self):
         # All transfers land in one epoch; deferral coalesces them and
         # completion callbacks still fire in listing (flow-id) order.
-        traces = {
-            strategy: run_network_workload(
-                strategy, [100.0], [([0], 50.0, 0.0, float("inf"))] * 4
-            )
-            for strategy in SOLVER_STRATEGIES
-        }
-        ids = [fid for fid, _ in traces["full"]["completions"]]
+        workload = ([100.0], [([0], 50.0, 0.0, float("inf"))] * 4)
+        oracle = run_workload(OracleFlowNetwork, *workload)
+        ids = [fid for fid, _ in oracle["completions"]]
         assert ids == sorted(ids)
-        for strategy, trace in traces.items():
-            assert trace == traces["full"], strategy
+        for strategy in SOLVER_STRATEGIES:
+            assert run_workload(strategy_network(strategy), *workload) == oracle
 
 
 class TestSolverSelection:
