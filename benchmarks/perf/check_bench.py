@@ -30,18 +30,10 @@ Fails (exit 1) when a headline number regresses below its threshold:
   dispatcher drains same-timestamp bursts in bulk; falling below the
   floor means the engine regressed to per-event heap churn.
 - ``churn_large_flows_per_second`` must reach
-  ``REPRO_MIN_CHURN_LARGE`` (default 1000) and
-  ``churn_large_speedup_vs_full`` must reach
-  ``REPRO_MIN_CHURN_LARGE_SPEEDUP`` (default 5.0): on the largest
-  cluster in the sweep (128 GCDs under ``--smoke``, 512 in the full
-  suite) the dirty-set re-level must hold its throughput and its
-  margin over the full-component re-solve, else the solver has
+  ``REPRO_MIN_CHURN_LARGE`` (default 1000): on the largest cluster in
+  the sweep (128 GCDs under ``--smoke``, 512 in the full suite) the
+  dirty-set re-level must hold its throughput, else the solver has
   regressed to O(system) churn.
-- ``flow_integration_speedup`` must reach
-  ``REPRO_MIN_INTEGRATION_SPEEDUP`` (default 1.5): the vectorized
-  (or compiled) interval integrator must beat the scalar python
-  backend on the mixed long/short-flow workload, else the NumPy
-  arrays are pure overhead.
 - ``shadow_replay_windows_per_second`` must reach
   ``REPRO_MIN_SHADOW_WINDOWS`` (default 5): the digital-twin shadow
   replayer re-simulates telemetry windows through the sweep runner;
@@ -59,7 +51,7 @@ headlines may not regress by more than ``REPRO_MAX_PERF_REGRESSION``
 (default 0.05 = 5%) relative to the baseline:
 
 - ``events_per_second``
-- ``incremental_flows_per_second``
+- ``churn_flows_per_second``
 
 The baseline comparison is skipped when ``meta.platform`` differs —
 numbers from a different machine are not comparable — or when the
@@ -78,7 +70,7 @@ import sys
 #: Headline throughput keys compared against a baseline report.
 BASELINE_KEYS = (
     "events_per_second",
-    "incremental_flows_per_second",
+    "churn_flows_per_second",
     "capacity_changes_per_second",
     "epoch_events_per_second",
     "churn_large_flows_per_second",
@@ -198,49 +190,6 @@ def check(report: dict) -> list[str]:
         print(
             f"ok: churn_large_flows_per_second {churn_large:,.0f} >= "
             f"{min_churn_large:,.0f}"
-        )
-
-    min_large_speedup = float(
-        os.environ.get("REPRO_MIN_CHURN_LARGE_SPEEDUP", "5.0")
-    )
-    large_speedup = headline.get("churn_large_speedup_vs_full")
-    if large_speedup is None:
-        print("skip: churn_large_speedup_vs_full not in report (old schema)")
-    elif large_speedup < min_large_speedup:
-        failures.append(
-            f"churn_large_speedup_vs_full {large_speedup:.2f} < "
-            f"{min_large_speedup:.2f}"
-        )
-    else:
-        print(
-            f"ok: churn_large_speedup_vs_full {large_speedup:.2f} >= "
-            f"{min_large_speedup:.2f}"
-        )
-
-    min_integration = float(
-        os.environ.get("REPRO_MIN_INTEGRATION_SPEEDUP", "1.5")
-    )
-    integration = headline.get("flow_integration_speedup")
-    fastest = (
-        report.get("results", {})
-        .get("flow_integration", {})
-        .get("fastest_backend")
-    )
-    if integration is None:
-        print("skip: flow_integration_speedup not in report (old schema)")
-    elif fastest == "python":
-        # No accelerated backend ran (numpy unavailable) — nothing to
-        # compare the scalar loop against.
-        print("skip: flow_integration check (only python backend ran)")
-    elif integration < min_integration:
-        failures.append(
-            f"flow_integration_speedup {integration:.2f} < "
-            f"{min_integration:.2f}"
-        )
-    else:
-        print(
-            f"ok: flow_integration_speedup {integration:.2f} >= "
-            f"{min_integration:.2f}"
         )
 
     min_shadow = float(os.environ.get("REPRO_MIN_SHADOW_WINDOWS", "5"))

@@ -47,9 +47,6 @@ fingerprint-identical with the code presets), :func:`install_topology`
 artifact), :func:`load_profile` / :func:`dump_profile` (fitted
 ``repro-calibration/1`` profiles with provenance).
 
-**Backends** — :func:`resolve_backend` / :func:`compiled_available`
-(the flow-integration hot-loop implementations; all bit-identical).
-
 Compatibility contract: within one :data:`API_VERSION`, names exported
 here only gain parameters (keyword-only, defaulted) and never change
 semantics; anything else in ``repro.*`` is internal layering that may
@@ -98,7 +95,6 @@ from ..rccl import (
 )
 from ..runner import ResultCache, SimPoint, SweepRunner
 from ..session import Session, TOPOLOGY_PRESETS, resolve_topology
-from ..sim.backends import compiled_available, resolve_backend
 from ..topology import (
     TOPOLOGY_SCHEMA,
     dump_topology,
@@ -173,7 +169,4 @@ __all__ = [
     "synthesize_telemetry",
     "load_profile",
     "dump_profile",
-    # backends
-    "resolve_backend",
-    "compiled_available",
 ]

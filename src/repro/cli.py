@@ -56,16 +56,14 @@ The sweep commands — ``run``, ``methodology``, ``validate``,
 ``report``, ``explain`` and ``inject`` — share one option vocabulary
 (each flag spelled the same way everywhere): ``--jobs N`` (worker
 processes; ``0``/``auto`` = all cores), ``--no-cache``,
-``--cache-stats``, ``--backend {python,vectorized,compiled}`` (flow
-hot-loop implementation — bit-identical results, see
-``docs/modeling.md`` §13), ``--metrics``, ``--scenario FILE`` (run
+``--cache-stats``, ``--metrics``, ``--scenario FILE`` (run
 under a fault scenario), ``--topology FILE`` (run on a
 ``repro-topology/1`` file or preset name), ``--algorithm NAME``
 (collective algorithm: ring/tree/double_binary_tree/hierarchical_ring/
 auto), and ``--json [FILE]`` (machine-readable output to FILE or
 stdout).  The sweep runner decomposes each artifact
 into independent sim points, reuses cached point results, and
-reassembles bit-identical reports regardless of job count or backend.
+reassembles bit-identical reports regardless of job count.
 """
 
 from __future__ import annotations
@@ -117,23 +115,6 @@ def _runner_options() -> argparse.ArgumentParser:
         "--cache-stats",
         action="store_true",
         help="print sweep-runner cache statistics afterwards",
-    )
-    return parent
-
-
-def _backend_options() -> argparse.ArgumentParser:
-    """``--backend`` parent parser (sweep commands and ``perf``)."""
-    from .sim.backends import BACKENDS
-
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "flow-integration hot loop (default: $REPRO_BACKEND or "
-            "'vectorized'); results are bit-identical across backends"
-        ),
     )
     return parent
 
@@ -252,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sweep_parents = [
         _runner_options(),
-        _backend_options(),
         _obs_options(),
         _scenario_options(),
         _topology_options(),
@@ -459,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay a telemetry stream and report per-link model drift",
         parents=[
             _runner_options(),
-            _backend_options(),
             _topology_options(),
             _telemetry_options(),
             _calibration_options(),
@@ -679,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf",
         help="benchmark the simulation core (events/sec, flow churn)",
-        parents=[_backend_options(), _json_options()],
+        parents=[_json_options()],
     )
     perf.add_argument(
         "--smoke",
@@ -1582,14 +1561,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Route parsed arguments to their command implementation."""
-    # --backend travels via the environment so sweep workers (fresh
-    # processes) inherit it; results are bit-identical across backends,
-    # so the choice never enters cache keys.
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from .sim.backends import BACKEND_ENV_VAR
-
-        os.environ[BACKEND_ENV_VAR] = backend
     if args.command == "list":
         return _cmd_list()
     if args.command in {"run", "methodology", "validate", "inject"}:

@@ -49,7 +49,6 @@ class HardwareNode:
         metrics_capacity: int | None = None,
         spans: "SpanRecorder | bool | None" = None,
         faults: "object | None" = None,
-        backend: str | None = None,
     ) -> None:
         # Topology: explicit argument wins; otherwise an ambient
         # topology.context.install() (entered by `--topology FILE` runs
@@ -83,7 +82,7 @@ class HardwareNode:
             self.spans = resolve_spans(spans)
         self.engine = engine if engine is not None else SimEngine(metrics=self.metrics)
         self.network = FlowNetwork(
-            self.engine, metrics=self.metrics, spans=self.spans, backend=backend
+            self.engine, metrics=self.metrics, spans=self.spans
         )
         self.tracer = (
             tracer

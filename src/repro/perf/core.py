@@ -5,11 +5,10 @@ from loop indices), so two runs on the same machine measure the same
 work.  Wall-clock numbers are best-of-``repeats`` to damp scheduler
 noise.
 
-The flow-churn benchmark is the headline: it drives the same workload
-through ``FlowNetwork(incremental=True)`` (the persistent
-:class:`~repro.sim.fairshare.FairshareSolver`) and
-``FlowNetwork(incremental=False)`` (a full batch re-solve per change,
-the pre-solver behaviour) and reports the speedup.
+The flow-churn benchmarks are the headline: small-component churn
+(``flow_churn``) and churn inside one cluster-wide component
+(``solver_scaling``, up to 512 GCDs), both in flows per second.  The
+solver must stay O(affected) as the component grows.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def bench_timer_cancel(
 
 
 def _run_cluster_churn(
-    solver: str, topology: Any, *, flows_per_link: int = 2, total_ops: int = 1024
+    topology: Any, *, flows_per_link: int = 2, total_ops: int = 1024
 ) -> tuple[float, int]:
     """One cluster churn run; ``(wall seconds, churn flows issued)``.
 
@@ -195,16 +194,12 @@ def _run_cluster_churn(
     NIC channels in the first fill round, which is exactly the regime
     dirty-set replay exploits: churn on a lightly-loaded channel
     certifies the committed rounds and re-levels a frontier of one.
-
-    ``solver`` picks the fairshare strategy (``"dirty"`` replay +
-    epoch deferral vs ``"full"`` per-event component re-solve); the
-    timed region — churn plus the allreduce teardown — is identical
-    work under both, so the wall ratio is the optimization's speedup.
+    The timed region is the churn plus the teardown.
     """
     from ..topology.link import LinkEndpoint
 
     engine = SimEngine()
-    network = FlowNetwork(engine, incremental=True, solver=solver)
+    network = FlowNetwork(engine)
     for link in topology.links():
         network.add_channel(("link", link.name), link.capacity_per_direction)
 
@@ -255,39 +250,32 @@ def _run_cluster_churn(
 def bench_solver_scaling(
     node_counts: tuple[int, ...] = (2, 4, 16, 64), *, repeats: int = REPEATS
 ) -> dict[str, Any]:
-    """Dirty-set vs full-component re-level across cluster sizes.
+    """Churn throughput inside one cluster-wide component, by size.
 
     Sweeps :func:`~repro.topology.presets.mi250x_cluster` from 16 to
     512 GCDs (``node_counts`` × 8; the preset refuses single-node
-    "clusters") and reports per-size churn
-    throughput under both solver strategies.  ``rows[-1]`` (the largest
-    cluster) is surfaced as the ``flow_churn_large`` headline; its
-    ``speedup`` is the acceptance number — the dirty-set path must stay
-    O(affected) while the full re-level grows with the component.
+    "clusters") and reports per-size churn throughput.  ``rows[-1]``
+    (the largest cluster) is surfaced as the ``flow_churn_large``
+    headline; its ``flows_per_second`` is the acceptance number — the
+    dirty-set re-level must stay O(affected) as the component grows.
     """
     from ..topology.presets import mi250x_cluster
 
     rows: list[dict[str, Any]] = []
     for nodes in node_counts:
         topology = mi250x_cluster(nodes=nodes)
-        walls: dict[str, float] = {}
+        best = float("inf")
         ops = 0
-        for solver in ("dirty", "full"):
-            best = float("inf")
-            for _ in range(max(1, repeats)):
-                wall, ops = _run_cluster_churn(solver, topology)
-                best = min(best, wall)
-            walls[solver] = best
+        for _ in range(max(1, repeats)):
+            wall, ops = _run_cluster_churn(topology)
+            best = min(best, wall)
         rows.append(
             {
                 "nodes": nodes,
                 "gcds": topology.num_gcds,
                 "churn_flows": ops,
-                "dirty_wall_seconds": walls["dirty"],
-                "full_wall_seconds": walls["full"],
-                "dirty_flows_per_second": ops / walls["dirty"],
-                "full_flows_per_second": ops / walls["full"],
-                "speedup": walls["full"] / walls["dirty"],
+                "wall_seconds": best,
+                "flows_per_second": ops / best,
             }
         )
     return {"node_counts": list(node_counts), "rows": rows}
@@ -299,9 +287,7 @@ def flow_churn_large_from_scaling(scaling: dict[str, Any]) -> dict[str, Any]:
     return {
         "gcds": largest["gcds"],
         "churn_flows": largest["churn_flows"],
-        "flows_per_second": largest["dirty_flows_per_second"],
-        "full_flows_per_second": largest["full_flows_per_second"],
-        "speedup_vs_full": largest["speedup"],
+        "flows_per_second": largest["flows_per_second"],
     }
 
 
@@ -309,7 +295,6 @@ def flow_churn_large_from_scaling(scaling: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_churn(
-    incremental: bool,
     pairs: int,
     flows_per_pair: int,
     metrics: Any = None,
@@ -328,9 +313,7 @@ def _run_churn(
     one span per flow to measure the span layer's cost.
     """
     engine = SimEngine(metrics=metrics)
-    network = FlowNetwork(
-        engine, incremental=incremental, metrics=metrics, spans=spans
-    )
+    network = FlowNetwork(engine, metrics=metrics, spans=spans)
     backbone = "backbone"
     network.add_channel(backbone, 200 * GiB)
     for pair in range(pairs):
@@ -363,100 +346,19 @@ def _run_churn(
 def bench_flow_churn(
     pairs: int = 32, flows_per_pair: int = 120, *, repeats: int = REPEATS
 ) -> dict[str, Any]:
-    """Incremental vs batch re-solve under flow churn.
+    """Flow churn throughput over many small, sometimes-coupled components.
 
-    ``speedup`` is the headline acceptance number: wall time of the
-    legacy full-re-solve network over the incremental one on identical
-    workloads.
+    ``flows_per_second`` is the headline; ``check_bench.py`` holds it
+    against the committed baseline.
     """
     total_flows = pairs * flows_per_pair
-    incremental = _best_of(
-        lambda: _run_churn(True, pairs, flows_per_pair), repeats
-    )
-    legacy = _best_of(lambda: _run_churn(False, pairs, flows_per_pair), repeats)
+    elapsed = _best_of(lambda: _run_churn(pairs, flows_per_pair), repeats)
     return {
         "pairs": pairs,
         "flows_per_pair": flows_per_pair,
         "total_flows": total_flows,
-        "incremental_wall_seconds": incremental,
-        "legacy_wall_seconds": legacy,
-        "incremental_flows_per_second": total_flows / incremental,
-        "legacy_flows_per_second": total_flows / legacy,
-        "speedup": legacy / incremental,
-    }
-
-
-def _run_integration(backend: str, flows: int, transfers: int) -> tuple[float, float]:
-    """One integration run; ``(wall seconds, final sim time)``.
-
-    ``flows`` long-lived background flows sit on private channels (the
-    solver's single-flow fast path, so re-levels are cheap) while a
-    ticker issues ``transfers`` short transfers back to back.  Every
-    arrival and completion advances the constant-rate integral and
-    recomputes the next-completion ETA over *all* live flows — the
-    O(active flows) interval work the vectorized backends turn into
-    one array statement.
-    """
-    engine = SimEngine()
-    network = FlowNetwork(engine, backend=backend)
-    for i in range(flows):
-        network.add_channel(("bg", i), 1 * GiB)
-    network.add_channel("ticker", 100 * GiB)
-    for i in range(flows):
-        network.transfer([("bg", i)], 1_000 * GiB, label=f"bg{i}")
-
-    def ticker() -> Generator:
-        for i in range(transfers):
-            flow = network.transfer(["ticker"], (1 + i % 7) * MiB)
-            yield flow.done
-
-    engine.process(ticker(), name="ticker")
-    t0 = time.perf_counter()
-    engine.run()
-    return time.perf_counter() - t0, engine.now
-
-
-def bench_flow_integration(
-    flows: int = 256, transfers: int = 2_000, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Vectorized vs per-flow-loop constant-rate interval integration.
-
-    Runs the identical workload under every available backend
-    (``python`` always, ``vectorized``/``compiled`` as resolvable) and
-    reports per-backend throughput.  ``speedup`` — best backend over
-    ``python`` — is the acceptance headline; ``identical_final_time``
-    double-checks the bit-identity contract on this workload (the
-    hypothesis differential suite is the real guarantee).
-    """
-    from ..sim.backends import resolve_backend
-
-    backends = ["python"]
-    for candidate in ("vectorized", "compiled"):
-        if resolve_backend(candidate).effective == candidate:
-            backends.append(candidate)
-    walls: dict[str, float] = {}
-    finals: dict[str, float] = {}
-    for backend in backends:
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            wall, final = _run_integration(backend, flows, transfers)
-            best = min(best, wall)
-        walls[backend] = best
-        finals[backend] = final
-    accelerated = [w for b, w in walls.items() if b != "python"]
-    return {
-        "flows": flows,
-        "transfers": transfers,
-        "backends": backends,
-        "wall_seconds": walls,
-        "transfers_per_second": {
-            backend: transfers / wall for backend, wall in walls.items()
-        },
-        # speedup = 1.0 on numpy-less machines where only the scalar
-        # loop ran (check_bench skips the floor via fastest_backend).
-        "speedup": walls["python"] / min(accelerated) if accelerated else 1.0,
-        "fastest_backend": min(walls, key=walls.__getitem__),
-        "identical_final_time": len(set(finals.values())) == 1,
+        "wall_seconds": elapsed,
+        "flows_per_second": total_flows / elapsed,
     }
 
 
@@ -489,7 +391,7 @@ def bench_metrics_overhead(
 ) -> dict[str, Any]:
     """Cost of the observability layer on the flow-churn workload.
 
-    Runs the identical incremental-churn workload three ways: with the
+    Runs the identical flow-churn workload three ways: with the
     shared disabled registry (the default every hot path takes), with a
     freshly constructed disabled registry, and with metrics enabled.
     ``disabled_overhead`` is the acceptance number — a disabled
@@ -503,15 +405,14 @@ def bench_metrics_overhead(
     total_flows = pairs * flows_per_pair
     best = _interleaved_best_of(
         {
-            "baseline": lambda: _run_churn(True, pairs, flows_per_pair),
+            "baseline": lambda: _run_churn(pairs, flows_per_pair),
             "disabled": lambda: _run_churn(
-                True,
                 pairs,
                 flows_per_pair,
                 metrics=MetricsRegistry(enabled=False, sample_capacity=0),
             ),
             "enabled": lambda: _run_churn(
-                True, pairs, flows_per_pair, metrics=MetricsRegistry()
+                pairs, flows_per_pair, metrics=MetricsRegistry()
             ),
         },
         repeats,
@@ -545,15 +446,14 @@ def bench_span_overhead(
     total_flows = pairs * flows_per_pair
     best = _interleaved_best_of(
         {
-            "baseline": lambda: _run_churn(True, pairs, flows_per_pair),
+            "baseline": lambda: _run_churn(pairs, flows_per_pair),
             "disabled": lambda: _run_churn(
-                True,
                 pairs,
                 flows_per_pair,
                 spans=SpanRecorder(enabled=False),
             ),
             "enabled": lambda: _run_churn(
-                True, pairs, flows_per_pair, spans=SpanRecorder()
+                pairs, flows_per_pair, spans=SpanRecorder()
             ),
         },
         repeats,
@@ -581,7 +481,7 @@ def _run_capacity_churn(pairs: int, changes: int) -> float:
     stay in [0.5, 0.99] × healthy so no flow ever fails or starves.
     """
     engine = SimEngine()
-    network = FlowNetwork(engine, incremental=True)
+    network = FlowNetwork(engine)
     backbone = "backbone"
     network.add_channel(backbone, 200 * GiB)
     for pair in range(pairs):
@@ -614,9 +514,8 @@ def bench_set_capacity(
 
     ``capacity_changes_per_second`` is the acceptance number for the
     fault-injection path: every :meth:`FlowNetwork.set_capacity` call
-    re-levels the touched component incrementally, so this must stay
-    within the same order as flow churn, not degrade to batch re-solve
-    cost.
+    re-levels only the touched component, so this must stay within the
+    same order as flow churn, not degrade to a whole-system re-solve.
     """
     elapsed = _best_of(lambda: _run_capacity_churn(pairs, changes), repeats)
     return {
@@ -676,17 +575,20 @@ def _parallel_workload(smoke: bool):
 def bench_sweep_parallel(*, jobs: int | None = None) -> dict[str, Any]:
     """Serial vs multi-process sweep over one uncached point grid.
 
-    ``speedup`` is an acceptance number only when ``jobs > 1`` actually
-    ran (single-core machines and sandboxes without multiprocessing
-    fall back to serial; ``parallel_fallbacks`` records that).  The
-    grid is full-size even under ``--smoke`` — a too-small grid would
-    measure pool start-up, not sweep throughput.
+    ``jobs`` defaults to the CPUs this process may run on (at most 4).
+    ``speedup`` is ``None`` when the "parallel" run was effectively
+    serial — one job, or a fallback to serial execution in sandboxes
+    without multiprocessing (``parallel_fallbacks``) — so no speedup is
+    claimed for it.  The grid is full-size even under ``--smoke`` — a
+    too-small grid would measure pool start-up, not sweep throughput.
     """
     from ..runner import SweepRunner
+    from ..runner.runner import available_cpus
 
     points = _parallel_workload(False)
+    cores = available_cpus()
     if jobs is None:
-        jobs = min(4, os.cpu_count() or 1)
+        jobs = min(4, cores)
     serial = SweepRunner(jobs=1, use_cache=False)
     t0 = time.perf_counter()
     serial_outputs = serial.run_points(points)
@@ -695,14 +597,16 @@ def bench_sweep_parallel(*, jobs: int | None = None) -> dict[str, Any]:
     t0 = time.perf_counter()
     parallel_outputs = parallel.run_points(points)
     parallel_wall = time.perf_counter() - t0
+    fallbacks = parallel.stats.parallel_fallbacks
+    serial_only = jobs < 2 or fallbacks > 0
     return {
         "points": len(points),
         "jobs": jobs,
-        "cores": os.cpu_count() or 1,
-        "parallel_fallbacks": parallel.stats.parallel_fallbacks,
+        "cores": cores,
+        "parallel_fallbacks": fallbacks,
         "serial_wall_seconds": serial_wall,
         "parallel_wall_seconds": parallel_wall,
-        "speedup": serial_wall / max(parallel_wall, 1e-9),
+        "speedup": None if serial_only else serial_wall / max(parallel_wall, 1e-9),
         "identical_outputs": serial_outputs == parallel_outputs,
     }
 
@@ -790,17 +694,12 @@ def bench_cache_hit(*, smoke: bool = False) -> dict[str, Any]:
 
 
 #: ``(headline key, results section, key within the section)`` — the
-#: headline block is assembled from whichever sections actually ran.
+#: headline block is assembled from whichever sections actually ran,
+#: skipping values a section reports as ``None``.
 _HEADLINE_SPEC: tuple[tuple[str, str, str], ...] = (
     ("events_per_second", "engine_events", "events_per_second"),
     ("epoch_events_per_second", "engine_epochs", "epoch_events_per_second"),
-    ("flow_integration_speedup", "flow_integration", "speedup"),
-    (
-        "incremental_flows_per_second",
-        "flow_churn",
-        "incremental_flows_per_second",
-    ),
-    ("churn_speedup_vs_batch_resolve", "flow_churn", "speedup"),
+    ("churn_flows_per_second", "flow_churn", "flows_per_second"),
     (
         "capacity_changes_per_second",
         "set_capacity",
@@ -811,7 +710,6 @@ _HEADLINE_SPEC: tuple[tuple[str, str, str], ...] = (
         "flow_churn_large",
         "flows_per_second",
     ),
-    ("churn_large_speedup_vs_full", "flow_churn_large", "speedup_vs_full"),
     ("metrics_disabled_overhead", "metrics_overhead", "disabled_overhead"),
     ("metrics_enabled_overhead", "metrics_overhead", "enabled_overhead"),
     ("spans_disabled_overhead", "span_overhead", "disabled_overhead"),
@@ -846,9 +744,6 @@ def suite_sections(
         ),
         "timer_cancel": lambda: bench_timer_cancel(
             200_000 // scale, repeats=repeats
-        ),
-        "flow_integration": lambda: bench_flow_integration(
-            256 // shrink, 2_000 // scale, repeats=repeats
         ),
         "flow_churn": lambda: bench_flow_churn(
             32 // shrink, 120 // shrink, repeats=repeats
@@ -916,10 +811,10 @@ def run_suite(
     headline = {
         key: results[section][field]
         for key, section, field in _HEADLINE_SPEC
-        if section in results
+        if section in results and results[section][field] is not None
     }
     report = {
-        "schema": "repro-bench-core/8",
+        "schema": "repro-bench-core/9",
         "version": __version__,
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],
@@ -961,14 +856,9 @@ def format_report(report: dict[str, Any]) -> str:
             lambda r: f"  timer cancel     {r['timers_per_second']:>12,.0f} timers/s",
         ),
         (
-            "flow_integration",
-            lambda r: f"  flow integration {r['speedup']:>12.2f} x "
-            f"({r['fastest_backend']} over python, {r['flows']} flows)",
-        ),
-        (
             "flow_churn",
-            lambda r: f"  flow churn       {r['incremental_flows_per_second']:>12,.0f} flows/s "
-            f"(incremental; {r['speedup']:.2f}x vs batch re-solve)",
+            lambda r: f"  flow churn       {r['flows_per_second']:>12,.0f} flows/s "
+            f"({r['pairs']} pairs)",
         ),
         (
             "set_capacity",
@@ -978,7 +868,7 @@ def format_report(report: dict[str, Any]) -> str:
         (
             "flow_churn_large",
             lambda r: f"  cluster churn    {r['flows_per_second']:>12,.0f} flows/s "
-            f"({r['gcds']} GCDs; {r['speedup_vs_full']:.1f}x vs full re-level)",
+            f"({r['gcds']} GCDs)",
         ),
         (
             "metrics_overhead",
@@ -997,8 +887,12 @@ def format_report(report: dict[str, Any]) -> str:
         ),
         (
             "sweep_parallel",
-            lambda r: f"  sweep parallel   {r['speedup']:>12.2f} x "
-            f"({r['jobs']} job(s) over {r['points']} points)",
+            lambda r: (
+                f"  sweep parallel   {r['speedup']:>12.2f} x "
+                if r["speedup"] is not None
+                else "  sweep parallel            n/a (serial run) "
+            )
+            + f"({r['jobs']} job(s) over {r['points']} points)",
         ),
         (
             "cache_hit",

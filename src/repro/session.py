@@ -203,12 +203,6 @@ class Session:
         ``**env_flags`` (e.g. ``xnack_enabled=True``,
         ``sdma_enabled=False``) — the simulated counterparts of
         ``HSA_XNACK`` / ``HSA_ENABLE_SDMA`` / …
-    backend:
-        Flow-integration backend: ``"python"``, ``"vectorized"``
-        (default), or ``"compiled"`` (numba; degrades automatically
-        when unavailable).  All backends are bit-identical — see
-        :mod:`repro.sim.backends`.  ``None`` consults the
-        ``REPRO_BACKEND`` environment variable.
     obs:
         An :class:`~repro.configs.ObsConfig` grouping the tracer,
         metrics, and span settings.  ``None`` means observe nothing
@@ -251,7 +245,6 @@ class Session:
         *,
         calibration: CalibrationProfile | None = None,
         env: SimEnvironment | None = None,
-        backend: str | None = None,
         obs: ObsConfig | None = None,
         runner: RunnerConfig | None = None,
         coherence: CoherencePolicy | None = None,
@@ -304,15 +297,9 @@ class Session:
             metrics_capacity=obs.metrics_capacity,
             spans=obs.spans,
             faults=faults,
-            backend=backend,
         )
         self.hip = HipRuntime(self.node, self.env, coherence=coherence)
         self._closed = False
-
-    @property
-    def backend(self) -> str:
-        """The flow-integration backend actually in effect."""
-        return self.node.network.backend
 
     # -- context management --------------------------------------------------
 

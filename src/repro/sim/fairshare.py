@@ -50,12 +50,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-from ..errors import SimulationError
+import numpy as _np
 
-try:  # NumPy is a hard dependency of the package, but keep the core
-    import numpy as _np  # importable without it for the pure solver.
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from ..errors import SimulationError
 
 ChannelId = Hashable
 
@@ -404,7 +401,7 @@ def _solve_component(
                     break
             bottlenecks[flow.flow_id] = bottleneck
         return {flow.flow_id: best}
-    if _np is not None and len(flows) >= _VECTORIZE_THRESHOLD:
+    if len(flows) >= _VECTORIZE_THRESHOLD:
         return _solve_component_numpy(flows, capacities, bottlenecks, trace)
     return _solve_component_python(flows, capacities, bottlenecks, trace)
 
@@ -591,27 +588,6 @@ def max_min_fair_rates(
     return {f.flow_id: rates[f.flow_id] for f in flows}
 
 
-def max_min_fair_rates_reference(
-    flows: Sequence[FlowSpec],
-    capacities: Mapping[ChannelId, float],
-    bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
-) -> dict[Hashable, float]:
-    """The pre-decomposition global solver (perf baseline / oracle).
-
-    Runs progressive filling over the *whole* system at once, exactly
-    as the solver did before component decomposition.  Kept for the
-    flow-churn perf baseline in ``repro perf`` and as a semantic
-    cross-check: it agrees with :func:`max_min_fair_rates` to within
-    floating-point accumulation order (not necessarily bitwise).
-    ``bottlenecks``, when given, is filled with each flow's freeze
-    reason exactly as in :func:`max_min_fair_rates`.
-    """
-    if not flows:
-        return {}
-    _validate_problem(flows, capacities)
-    return _solve_component_python(flows, capacities, bottlenecks)
-
-
 # ---------------------------------------------------------------------------
 # Incremental solver
 # ---------------------------------------------------------------------------
@@ -693,8 +669,8 @@ class FairshareSolver:
     bit-for-bit (both level identical components with the identical
     core).
 
-    With ``dirty=True`` the solver additionally keeps, per component, a
-    :class:`_Trace` of its last solve and *replays* it on churn:
+    The solver also keeps, per component, a :class:`_Trace` of its last
+    solve and *replays* it on churn:
     recorded rounds whose binding constraints are untouched by the
     change are certified unchanged (the clean flows keep their cached
     rates bitwise), and the solve resumes generically only from the
@@ -710,7 +686,6 @@ class FairshareSolver:
         capacities: Mapping[ChannelId, float] | None = None,
         *,
         track_bottlenecks: bool = False,
-        dirty: bool = False,
     ) -> None:
         self._capacities: dict[ChannelId, float] = {}
         self._flows: dict[Hashable, FlowSpec] = {}
@@ -724,7 +699,6 @@ class FairshareSolver:
         self._component_ids = itertools.count()
         self._track_bottlenecks = bool(track_bottlenecks)
         self._bottlenecks: dict[Hashable, ChannelId | None] = {}
-        self._dirty = bool(dirty)
         self._traces: dict[int, _Trace] = {}
         #: Per component: consecutive replays that diverged at round 0
         #: (see :data:`_REPLAY_BACKOFF`); reset on any replay success.
@@ -733,11 +707,6 @@ class FairshareSolver:
         if capacities:
             for channel, capacity in capacities.items():
                 self.add_channel(channel, capacity)
-
-    @property
-    def dirty_releveling(self) -> bool:
-        """Whether this solver replays solve traces on churn."""
-        return self._dirty
 
     # -- channel inventory ---------------------------------------------------
 
@@ -965,15 +934,11 @@ class FairshareSolver:
         return pieces
 
     def _relevel(
-        self, flow_ids: Iterable[Hashable], comp_id: int | None = None
+        self, flow_ids: Iterable[Hashable], comp_id: int
     ) -> dict[Hashable, float]:
         component = [self._flows[f] for f in flow_ids]
         trace: _Trace | None = None
-        if (
-            self._dirty
-            and comp_id is not None
-            and len(component) >= _DIRTY_THRESHOLD
-        ):
+        if len(component) >= _DIRTY_THRESHOLD:
             failures = self._replay_failures.get(comp_id, 0)
             if failures < _REPLAY_BACKOFF:
                 trace = _Trace()
@@ -993,7 +958,7 @@ class FairshareSolver:
         solved = _solve_component(component, self._capacities, bottlenecks, trace)
         if trace is not None:
             self._traces[comp_id] = trace
-        elif comp_id is not None:
+        else:
             self._traces.pop(comp_id, None)
         self._rates.update(solved)
         self.stats.component_solves += 1
@@ -1035,7 +1000,7 @@ class FairshareSolver:
         reflect the perturbation.
         """
         trace = self._traces.pop(old_comp, None)
-        if trace is None or not self._dirty:
+        if trace is None:
             return None
 
         capacities = self._capacities

@@ -22,21 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-from ..errors import LinkDownError, SimulationError
-from .backends import compiled_kernels, resolve_backend, resolve_solver
-from .engine import Event, SimEngine, TimerHandle
-from .fairshare import FairshareSolver, FlowSpec, max_min_fair_rates_reference
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
+from ..errors import LinkDownError, SimulationError
+from .engine import Event, SimEngine, TimerHandle
+from .fairshare import FairshareSolver, FlowSpec
 
 #: Completion slop, in bytes: flows within this of zero are done.  Keeps
 #: float accumulation from scheduling infinitesimal residual transfers.
 _EPSILON_BYTES = 1e-6
 
-#: Initial slot-array capacity for the vectorized backends.
+#: Initial slot-array capacity.
 _INITIAL_SLOTS = 64
 
 
@@ -115,8 +111,7 @@ class Flow:
         self.label = label
         self.span: "Any" = None
         self.blame_key = ""
-        #: Index into the network's slot arrays (vectorized backends);
-        #: -1 while unslotted.
+        #: Index into the network's slot arrays; -1 while unslotted.
         self.slot = -1
 
     @property
@@ -155,81 +150,47 @@ class FlowNetwork:
 
     Rate allocation runs through a persistent
     :class:`~repro.sim.fairshare.FairshareSolver`: flow arrivals and
-    departures re-level only the connected component they touch, and
-    the single pending completion alarm is cancelled (lazily, O(1))
-    whenever a rate change supersedes it.  Pass ``incremental=False``
-    to force a full batch re-solve on every change — the pre-solver
-    behaviour, kept for differential tests and the perf baseline.
+    departures re-level only the connected component they touch, by
+    replaying the component's last solve trace where the change cannot
+    reach.  Re-levels are *epoch-deferred*: all churn within one engine
+    epoch coalesces into a single application of rates, flushed before
+    simulated time can advance.  The single pending completion alarm is
+    cancelled (lazily, O(1)) whenever a rate change supersedes it.
 
-    ``backend`` selects the interval-integration implementation
-    (``"python"``, ``"vectorized"``, ``"compiled"``; see
-    :mod:`repro.sim.backends`).  All backends are bit-identical —
-    the vectorized path performs the same IEEE-754 float64 operations
-    as the per-flow loop, one array statement per interval — so the
-    choice affects only wall-clock speed, never results.  ``None``
-    consults ``REPRO_BACKEND`` and defaults to ``"vectorized"``.
+    Live per-flow state (remaining bytes, rate, completion threshold)
+    sits in NumPy float64 slot arrays, so each constant-rate interval
+    is one array statement; element-wise IEEE-754 operations, so the
+    result is bit-identical to a per-flow loop.  ``Flow.remaining`` on
+    in-flight flows is refreshed only when read through
+    :meth:`active_flows`, and is exact (0.0) on completion.
 
-    ``solver`` likewise selects the fairshare *strategy* (see
-    :mod:`repro.sim.backends`): ``"dirty"`` (the default — trace
-    replay plus epoch-deferred solving, so all churn within one engine
-    epoch coalesces into a single re-level), ``"eager"`` (trace
-    replay, one solve per event) or ``"full"`` (the per-component
-    re-solve on every event, the perf baseline).  All three are
-    bit-identical on rates, bottleneck attribution and completion
-    times (differential-tested), which is why — like the backend —
-    the strategy stays out of result cache keys.  ``None`` consults
-    ``REPRO_SOLVER``.
-
-    In the vectorized backends, live per-flow state (remaining bytes)
-    is authoritative in the slot arrays between rate changes;
-    ``Flow.remaining`` on in-flight flows is refreshed at the same
-    boundaries the Python loop writes it (rate changes) only when read
-    through :meth:`active_flows`, and is exact (0.0) on completion.
+    ``tests/sim/flow_oracle.py`` holds the reference this is
+    differential-tested against: per-flow integration and a batch
+    re-solve on every event.
     """
 
     def __init__(
         self,
         engine: SimEngine,
         *,
-        incremental: bool = True,
         metrics: "Any" = None,
         spans: "Any" = None,
-        backend: str | None = None,
-        solver: str | None = None,
     ) -> None:
         self.engine = engine
         self._channels: dict[Hashable, Channel] = {}
         self._active: dict[int, Flow] = {}
         self._flow_ids = itertools.count()
         self._last_update = 0.0
-        self._incremental = incremental
         self._alarm: TimerHandle | None = None
         self._alarm_at = math.inf
-        choice = resolve_backend(backend)
-        self.backend_requested = choice.requested
-        self.backend = choice.effective
-        strategy = resolve_solver(solver)
-        self.solver_strategy = strategy.effective
-        # Epoch deferral: all churn inside one engine epoch coalesces
-        # into a single re-level, flushed by a zero-delay timer before
-        # simulated time can advance.  Only meaningful with the
-        # incremental solver (legacy mode re-solves globally per event).
-        self._defer = incremental and self.solver_strategy == "dirty"
+        # Epoch deferral: rates re-leveled this epoch, applied by one
+        # zero-delay flush timer (see _defer_resolve).
         self._pending: dict[Hashable, float] | None = None
         self._flush_scheduled = False
-        self._kernels = (
-            compiled_kernels() if self.backend == "compiled" else None
-        )
-        if self.backend == "python":
-            self._slot_flows: list[Flow] = []
-            self._arr_remaining = None
-            self._arr_rate = None
-            self._arr_threshold = None
-        else:
-            self._slot_flows = []
-            self._arr_remaining = _np.zeros(_INITIAL_SLOTS)
-            self._arr_rate = _np.zeros(_INITIAL_SLOTS)
-            self._arr_threshold = _np.zeros(_INITIAL_SLOTS)
+        self._slot_flows: list[Flow] = []
+        self._arr_remaining = _np.zeros(_INITIAL_SLOTS)
+        self._arr_rate = _np.zeros(_INITIAL_SLOTS)
+        self._arr_threshold = _np.zeros(_INITIAL_SLOTS)
         if metrics is None:
             from ..obs.metrics import NULL_METRICS
 
@@ -242,10 +203,7 @@ class FlowNetwork:
         self._spans = spans
         # Bottleneck tracking is the span layer's data source; leave it
         # off otherwise so the disabled path stays within the perf guard.
-        self._solver = FairshareSolver(
-            track_bottlenecks=bool(spans),
-            dirty=incremental and self.solver_strategy in ("dirty", "eager"),
-        )
+        self._solver = FairshareSolver(track_bottlenecks=bool(spans))
         self._blame_names: dict[Hashable, str] = {}
 
     @property
@@ -296,7 +254,6 @@ class FlowNetwork:
         if capacity == channel.capacity:
             return
         self._advance_to_now()
-        incremental = self._incremental
         failed: list[Flow] = []
         updated: dict[Hashable, float] = {}
         if capacity == 0:
@@ -307,28 +264,22 @@ class FlowNetwork:
             ]
             for flow in failed:
                 del self._active[flow.flow_id]
-                if incremental:
-                    updated.update(self._solver.remove_flow(flow.flow_id))
-                if self._arr_remaining is not None:
-                    flow.remaining = float(self._arr_remaining[flow.slot])
-                    self._slot_remove(flow)
+                updated.update(self._solver.remove_flow(flow.flow_id))
+                flow.remaining = float(self._arr_remaining[flow.slot])
+                self._slot_remove(flow)
                 flow.rate = 0.0
         channel.set_capacity(capacity)
-        if incremental:
-            updated.update(self._solver.set_capacity(channel_id, capacity))
+        updated.update(self._solver.set_capacity(channel_id, capacity))
         if self._metrics:
             self._metrics.counter("network/capacity_changes").inc()
             if failed:
                 self._metrics.counter("network/flows_failed").inc(len(failed))
-        if incremental and self._defer:
-            # Merge with any earlier churn this epoch, then apply now:
-            # fault semantics (survivor speed-ups, failure ordering) are
-            # synchronous, and capacity changes are rare enough that
-            # deferring them buys nothing.
-            self._defer_resolve(updated)
-            self.flush_pending()
-        else:
-            self._resolve_and_schedule(updated if incremental else None)
+        # Merge with any earlier churn this epoch, then apply now: fault
+        # semantics (survivor speed-ups, failure ordering) are
+        # synchronous, and capacity changes are rare enough that
+        # deferring them buys nothing.
+        self._defer_resolve(updated)
+        self.flush_pending()
         for flow in failed:
             flow.done.fail(
                 LinkDownError(
@@ -419,8 +370,7 @@ class FlowNetwork:
 
         self._advance_to_now()
         self._active[flow.flow_id] = flow
-        if self._arr_remaining is not None:
-            self._slot_add(flow)
+        self._slot_add(flow)
         metrics = self._metrics
         if metrics:
             metrics.counter("network/flows_started").inc()
@@ -429,26 +379,18 @@ class FlowNetwork:
                 metrics.channel(
                     channel_id, self._channels[channel_id].capacity
                 ).flows += 1
-        if not self._incremental:
-            self._resolve_and_schedule()
-            return flow
         updated = self._solver.add_flow(FlowSpec(flow.flow_id, channel_ids, cap))
-        if self._defer:
-            self._defer_resolve(updated)
-        else:
-            self._resolve_and_schedule(updated)
+        self._defer_resolve(updated)
         return flow
 
     def active_flows(self) -> Sequence[Flow]:
         """Flows currently in flight.
 
-        Refreshes ``Flow.remaining`` from the backend state first, so
-        callers see values as of the last rate change regardless of
-        backend.
+        Refreshes ``Flow.remaining`` from the slot arrays first, so
+        callers see values as of the last rate change.
         """
         self.flush_pending()
-        if self._arr_remaining is not None:
-            self._sync_remaining()
+        self._sync_remaining()
         return list(self._active.values())
 
     def utilization(self, channel_id: Hashable) -> float:
@@ -478,10 +420,8 @@ class FlowNetwork:
     def _slot_add(self, flow: Flow) -> None:
         """Assign the next free slot-array index to a new flow.
 
-        The completion threshold is precomputed here: it folds the
-        Python path's ``remaining <= eps * max(1, size) or remaining
-        <= eps`` test into one comparison, because ``eps * max(1.0,
-        size)`` is never below ``eps``.
+        The completion threshold ``eps * max(1, size)`` is precomputed
+        here, so completion detection is one array comparison.
         """
         slots = self._slot_flows
         slot = len(slots)
@@ -521,9 +461,8 @@ class FlowNetwork:
     def _advance_to_now(self) -> None:
         """Account for bytes moved since the last rate change.
 
-        The vectorized backends advance every live flow with one array
-        statement (or one compiled pass); element-wise float64
-        multiply-subtract, bit-identical to the per-flow loop.
+        Every live flow advances in one array statement: element-wise
+        float64 multiply-subtract, bit-identical to a per-flow loop.
         """
         now = self.engine.now
         dt = now - self._last_update
@@ -542,17 +481,9 @@ class FlowNetwork:
                     self._account_interval(self._last_update, dt)
                 if self._spans:
                     self._account_spans(self._last_update, dt)
-            rem = self._arr_remaining
-            if rem is None:
-                for flow in self._active.values():
-                    flow.remaining -= flow.rate * dt
-            else:
-                n = len(self._slot_flows)
-                if n:
-                    if self._kernels is not None:
-                        self._kernels["advance"](rem, self._arr_rate, n, dt)
-                    else:
-                        rem[:n] -= self._arr_rate[:n] * dt
+            n = len(self._slot_flows)
+            if n:
+                self._arr_remaining[:n] -= self._arr_rate[:n] * dt
         self._last_update = now
 
     def _account_interval(self, start: float, dt: float) -> None:
@@ -604,7 +535,7 @@ class FlowNetwork:
         can advance, so integration never sees a stale rate across a
         non-zero interval.  Within the epoch all intervals have zero
         duration, which is why deferral is invisible in completion
-        times (differential-tested against per-event solving).
+        times (differential-tested against the per-event oracle).
         """
         pending = self._pending
         if pending is None:
@@ -635,28 +566,24 @@ class FlowNetwork:
 
         Safe to call outside engine dispatch; the epoch's queued flush
         timer then finds nothing to do.  Readers that surface per-flow
-        rates call this so the epoch-deferred strategy is observationally
-        equivalent to per-event solving.
+        rates call this so epoch deferral is observationally equivalent
+        to per-event solving.
         """
         if self._pending is not None:
             self._flush()
 
-    def _resolve_and_schedule(
-        self, updated: Mapping[Hashable, float] | None = None
-    ) -> None:
+    def _resolve_and_schedule(self, updated: Mapping[Hashable, float]) -> None:
         """Apply re-leveled rates and (re)arm the next completion alarm.
 
         ``updated`` carries the rates of the component(s) the solver
-        just re-leveled; flows outside it keep their cached rate.  When
-        ``None`` (legacy mode), the whole system is re-solved from
-        scratch with the global reference algorithm.
+        just re-leveled; flows outside it keep their cached rate.
         """
         # An alarm already due in this epoch stays queued where it is:
-        # it re-arms from fresh state when it fires, and cancelling it
+        # it re-arms from fresh state when it fires.  Cancelling it
         # would let a flow that is done to within epsilon re-arm at
-        # ``now + remaining/rate`` — one ulp late — under per-event
-        # solving but not under epoch deferral, whose same-epoch churn
-        # reaches this point only after the alarm has fired.
+        # ``now + remaining/rate`` — one ulp late — whenever a re-level
+        # lands before the alarm in the same epoch (``set_capacity``
+        # applies its re-level synchronously).
         keep_alarm = False
         if self._alarm is not None:
             if self._alarm_at == self.engine.now:
@@ -669,23 +596,9 @@ class FlowNetwork:
         active = self._active
         if not active:
             return
-        bottlenecks: Mapping[Hashable, Hashable] | None = None
-        if updated is None:
-            specs = [
-                FlowSpec(flow.flow_id, flow.channels, flow.cap)
-                for flow in active.values()
-            ]
-            if self._spans:
-                bottlenecks = {}
-                updated = max_min_fair_rates_reference(
-                    specs, self.capacities(), bottlenecks
-                )
-            else:
-                updated = max_min_fair_rates_reference(specs, self.capacities())
-        elif self._spans:
-            # The incremental solver tracked freeze reasons during the
-            # re-level that produced ``updated``; read them in place.
-            bottlenecks = self._solver._bottlenecks
+        # The solver tracked freeze reasons (spans on) during the
+        # re-level that produced ``updated``; read them in place.
+        bottlenecks = self._solver._bottlenecks if self._spans else None
         arr_rate = self._arr_rate
         for flow_id, rate in updated.items():
             flow = active.get(flow_id)
@@ -696,29 +609,16 @@ class FlowNetwork:
                     f"flow {flow_id} starved (rate 0); check channel capacities"
                 )
             flow.rate = rate
-            if arr_rate is not None:
-                arr_rate[flow.slot] = rate
+            arr_rate[flow.slot] = rate
             if bottlenecks is not None:
                 flow.blame_key = self._blame_key(bottlenecks.get(flow_id), flow)
         if keep_alarm:
             return
         # Next completion: min over remaining/rate.  Division is
         # element-wise and min is order-independent for the NaN-free
-        # operands here (rates are strictly positive), so all three
-        # backends produce the same float.
-        rem = self._arr_remaining
-        if rem is None:
-            next_completion = math.inf
-            for flow in active.values():
-                eta = flow.remaining / flow.rate
-                if eta < next_completion:
-                    next_completion = eta
-        else:
-            n = len(self._slot_flows)
-            if self._kernels is not None:
-                next_completion = self._kernels["min_eta"](rem, arr_rate, n)
-            else:
-                next_completion = float((rem[:n] / arr_rate[:n]).min())
+        # operands here (rates are strictly positive).
+        n = len(self._slot_flows)
+        next_completion = float((self._arr_remaining[:n] / arr_rate[:n]).min())
         next_completion = max(next_completion, 0.0)
         self._alarm = self.engine.schedule(next_completion, self._on_completion_alarm)
         self._alarm_at = self.engine.now + next_completion
@@ -743,62 +643,34 @@ class FlowNetwork:
     def _on_completion_alarm(self) -> None:
         self._alarm = None
         self._advance_to_now()
-        rem = self._arr_remaining
-        if rem is None:
-            finished = [
-                flow
-                for flow in self._active.values()
-                if flow.remaining <= _EPSILON_BYTES * max(1.0, flow.size)
-                or flow.remaining <= _EPSILON_BYTES
-            ]
-        else:
-            # The per-slot threshold equals eps * max(1, size), which
-            # subsumes the plain eps test above (it is never smaller),
-            # so one comparison matches the two-clause Python check.
-            # Slot order is permuted by swap-compaction; sort by
-            # flow_id to recover creation (== dict-insertion) order so
-            # solver removals and done-event deliveries fire in the
-            # exact sequence the Python backend produces.
-            n = len(self._slot_flows)
-            if self._kernels is not None:
-                mask = _np.empty(n, dtype=_np.bool_)
-                count = self._kernels["finished_mask"](
-                    rem, self._arr_threshold, mask, n
-                )
-                hits = _np.nonzero(mask)[0] if count else ()
-            else:
-                hits = _np.nonzero(rem[:n] <= self._arr_threshold[:n])[0]
-            finished = [self._slot_flows[i] for i in hits]
-            finished.sort(key=lambda flow: flow.flow_id)
-        incremental = self._incremental
+        # Slot order is permuted by swap-compaction; sort by flow_id to
+        # recover creation order, so solver removals and done-event
+        # deliveries fire in a deterministic sequence.
+        n = len(self._slot_flows)
+        hits = _np.nonzero(self._arr_remaining[:n] <= self._arr_threshold[:n])[0]
+        finished = [self._slot_flows[i] for i in hits]
+        finished.sort(key=lambda flow: flow.flow_id)
         if not finished:
             # Rounding pushed the completion infinitesimally later;
             # rescheduling from the fresh state converges.
-            self._resolve_and_schedule({} if incremental else None)
+            self._resolve_and_schedule({})
             return
         if self._metrics:
             self._metrics.counter("network/flows_completed").inc(len(finished))
         updated: dict[Hashable, float] = {}
         for flow in finished:
             del self._active[flow.flow_id]
-            if incremental:
-                updated.update(self._solver.remove_flow(flow.flow_id))
-            if rem is not None:
-                self._slot_remove(flow)
+            updated.update(self._solver.remove_flow(flow.flow_id))
+            self._slot_remove(flow)
             flow.remaining = 0.0
             flow.rate = 0.0
             flow.finish_time = self.engine.now
-        if incremental and self._defer:
-            # Deliver the completions *before* scheduling the flush:
-            # the ``done`` deliveries then sit ahead of the flush timer
-            # in this epoch, so transfers started by resumed processes
-            # merge their re-level into the same flush — one solve for
-            # the completion plus everything it triggers, instead of
-            # one for the removal and one per follow-on add.
-            for flow in finished:
-                flow.done.succeed(flow)
-            self._defer_resolve(updated)
-        else:
-            self._resolve_and_schedule(updated if incremental else None)
-            for flow in finished:
-                flow.done.succeed(flow)
+        # Deliver the completions *before* scheduling the flush: the
+        # ``done`` deliveries then sit ahead of the flush timer in this
+        # epoch, so transfers started by resumed processes merge their
+        # re-level into the same flush — one solve for the completion
+        # plus everything it triggers, instead of one for the removal
+        # and one per follow-on add.
+        for flow in finished:
+            flow.done.succeed(flow)
+        self._defer_resolve(updated)

@@ -87,18 +87,3 @@ class TestRunnerConfig:
         assert runner.cache is not None
         assert runner.capture_metrics
         assert runner.capture_spans
-
-
-class TestBackendKnob:
-    def test_session_reports_backend(self):
-        with api.Session(backend="python") as s:
-            assert s.backend == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            api.Session(backend="cuda")
-
-    def test_resolve_backend_exported_and_consistent(self):
-        choice = api.resolve_backend("compiled")
-        if not api.compiled_available():
-            assert choice.effective == "vectorized"

@@ -1,39 +1,27 @@
-"""Bit-identity across flow-integration backends.
+"""Bit-identity of :class:`FlowNetwork` against the reference oracle.
 
-The vectorized (NumPy) and compiled (numba) interval integrators must
-be *exactly* equivalent to the scalar python loop — same completion
-times, same rates, same event order, down to the last float bit — or
-cached results and figure artifacts would silently depend on which
-backend produced them.  Equality below is ``==`` on floats throughout;
-``pytest.approx`` would hide exactly the bugs these tests exist for.
+The network's NumPy slot-array integration, dirty-set solver replay and
+epoch-deferred re-levels must be *exactly* equivalent to the oracle in
+``flow_oracle.py`` — per-flow scalar integration with a batch re-solve
+on every event — on every observable: completion times, rates and span
+blame ledgers, down to the last float bit.  Equality below is ``==`` on
+floats throughout; ``pytest.approx`` would hide exactly the bugs these
+tests exist for.
+
+The physical invariants (feasible allocations, a monotone clock, byte
+conservation) are checked after every re-level on the same workloads.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.sim.backends import (
-    BACKENDS,
-    compiled_available,
-    numpy_available,
-    resolve_backend,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 from repro.sim.fairshare import FlowSpec, allocation_is_feasible
 from repro.sim.flow import FlowNetwork
 
 from .flow_oracle import OracleFlowNetwork, run_workload
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy required for vectorized backend"
-)
-
-#: Backends that actually differ in implementation on this machine.
-EFFECTIVE_BACKENDS = ["python", "vectorized"] + (
-    ["compiled"] if compiled_available() else []
-)
 
 
 @st.composite
@@ -74,20 +62,14 @@ def workloads(draw):
     return capacities, flow_specs, changes
 
 
-def backend_network(backend):
-    return lambda engine, spans: FlowNetwork(engine, backend=backend, spans=spans)
-
-
 class TestBackendsBitIdentical:
     @settings(max_examples=40, deadline=None)
     @given(workload=workloads())
     def test_random_workloads_agree_exactly(self, workload):
         capacities, flow_specs, changes = workload
-        oracle = run_workload(OracleFlowNetwork, capacities, flow_specs, changes)
-        for backend in EFFECTIVE_BACKENDS:
-            assert run_workload(
-                backend_network(backend), capacities, flow_specs, changes
-            ) == oracle, backend
+        assert run_workload(
+            FlowNetwork, capacities, flow_specs, changes
+        ) == run_workload(OracleFlowNetwork, capacities, flow_specs, changes)
 
     def test_same_time_completions_keep_flow_id_order(self):
         # Equal flows on one channel finish at the same instant;
@@ -97,8 +79,7 @@ class TestBackendsBitIdentical:
         oracle = run_workload(OracleFlowNetwork, *workload)
         ids = [fid for fid, _ in oracle["completions"]]
         assert ids == sorted(ids)
-        for backend in EFFECTIVE_BACKENDS:
-            assert run_workload(backend_network(backend), *workload) == oracle
+        assert run_workload(FlowNetwork, *workload) == oracle
 
 
 class TestPhysicalInvariants:
@@ -145,33 +126,3 @@ class TestPhysicalInvariants:
         moved = sum(usage.bytes for usage in metrics.channels().values())
         expected = sum(flow.size * len(flow.channels) for flow in flows)
         assert moved == pytest.approx(expected, rel=1e-9)
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            FlowNetwork(SimEngine(), backend="fortran")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        net = FlowNetwork(SimEngine())
-        assert net.backend == "python"
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        net = FlowNetwork(SimEngine(), backend="vectorized")
-        assert net.backend == "vectorized"
-
-    def test_compiled_degrades_not_errors(self):
-        choice = resolve_backend("compiled")
-        assert choice.requested == "compiled"
-        assert choice.effective in BACKENDS
-        if not compiled_available():
-            assert choice.degraded
-            assert choice.effective == "vectorized"
-
-    def test_network_reports_requested_and_effective(self):
-        net = FlowNetwork(SimEngine(), backend="compiled")
-        assert net.backend_requested == "compiled"
-        if not compiled_available():
-            assert net.backend == "vectorized"

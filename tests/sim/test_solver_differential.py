@@ -1,33 +1,24 @@
-"""Bit-identity across fairshare solver strategies.
+"""Bit-identity of dirty-set replay and epoch deferral against oracles.
 
-Dirty-set trace replay (``dirty``), per-event replay (``eager``) and
-the full per-component re-solve (``full``) must be *exactly*
-equivalent — same rates, same bottleneck attribution, same completion
-timestamps, down to the last float bit — or cached sweep results and
-figure artifacts would silently depend on which strategy produced
-them (the strategy deliberately stays out of cache fingerprints, see
-:mod:`repro.sim.backends`).  Equality below is ``==`` on floats
-throughout; ``pytest.approx`` would hide exactly the bugs these tests
-exist for.
+Dirty-set trace replay and epoch-deferred re-levels must be *exactly*
+equivalent to solving from scratch — same rates, same bottleneck
+attribution, same completion timestamps, down to the last float bit.
+Equality below is ``==`` on floats throughout; ``pytest.approx`` would
+hide exactly the bugs these tests exist for.
 
 Two layers:
 
 - solver level: random add/remove/``set_capacity`` sequences against
-  a :class:`FairshareSolver` with and without dirty-set re-leveling,
-  cross-checked against the batch :func:`max_min_fair_rates` oracle
-  after every op;
+  a :class:`FairshareSolver`, cross-checked against the batch
+  :func:`max_min_fair_rates` oracle after every op;
 - network level: full :class:`FlowNetwork` workloads (including
-  same-timestamp bursts, the epoch-deferral regime) compared across
-  all three strategies on the complete observable trace.
+  same-timestamp bursts, the epoch-deferral regime) compared with the
+  per-event oracle network on the complete observable trace.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.sim.backends import SOLVER_STRATEGIES, resolve_solver
-from repro.sim.engine import SimEngine
 from repro.sim.fairshare import FairshareSolver, FlowSpec, max_min_fair_rates
 from repro.sim.flow import FlowNetwork
 
@@ -116,8 +107,8 @@ def assert_ops_match_batch(solver, ops):
         assert solver.bottlenecks() == bottlenecks
 
 
-def fresh_solver(dirty):
-    solver = FairshareSolver(track_bottlenecks=True, dirty=dirty)
+def fresh_solver():
+    solver = FairshareSolver(track_bottlenecks=True)
     for channel, capacity in sorted(CHANNELS.items()):
         solver.add_channel(channel, capacity)
     return solver
@@ -126,22 +117,20 @@ def fresh_solver(dirty):
 class TestDirtyReplayBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(ops=op_sequences())
-    def test_every_step_matches_batch_oracle(self, ops):
-        assert_ops_match_batch(fresh_solver(dirty=True), ops)
+    def test_dirty_equals_full_on_random_scripts(self, ops):
+        assert_ops_match_batch(fresh_solver(), ops)
 
     @settings(max_examples=25, deadline=None)
     @given(ops=op_sequences())
     def test_dirty_matches_batch_oracle_at_end(self, ops):
-        solver = fresh_solver(dirty=True)
+        # The end state must not depend on channels no live flow uses:
+        # the batch solve sees only the referenced capacities.
+        solver = fresh_solver()
         assert_ops_match_batch(solver, ops)
         flows = solver.flows()
-        if not flows:
-            return
         capacities = solver.capacities()
         used = {c for spec in flows for c in spec.channels}
-        oracle = max_min_fair_rates(
-            flows, {c: capacities[c] for c in used}
-        )
+        oracle = max_min_fair_rates(flows, {c: capacities[c] for c in used})
         assert solver.rates() == oracle
 
     def test_churn_on_light_channel_replays_not_resolves(self):
@@ -153,7 +142,7 @@ class TestDirtyReplayBitIdentical:
         # component into replay backoff first — a few churn cycles
         # reach the probe trace, the probe's replay succeeds, and from
         # then on every churn op replays.
-        solver = fresh_solver(dirty=True)
+        solver = fresh_solver()
         for i in range(16):
             solver.add_flow(FlowSpec(("bg", i), ("core0", "leaf2")))
         for i in range(8):  # warm-up: rides out backoff to the probe
@@ -169,7 +158,7 @@ class TestDirtyReplayBitIdentical:
         # constraint, so no replay can ever succeed — after the backoff
         # threshold the solver must stop paying for trace recording
         # (rates are differential-tested identical either way).
-        solver = fresh_solver(dirty=True)
+        solver = fresh_solver()
         for i in range(24):
             solver.add_flow(FlowSpec(("bg", i), ("core0",)))
         assert solver.stats.trace_skips > 0
@@ -216,23 +205,15 @@ def network_workloads(draw):
     return capacities, flow_specs, changes
 
 
-def strategy_network(strategy):
-    return lambda engine, spans: FlowNetwork(engine, solver=strategy, spans=spans)
-
-
 class TestEpochDeferredBitIdentical:
     @settings(max_examples=40, deadline=None)
     @given(workload=network_workloads())
     def test_strategies_agree_on_completion_times(self, workload):
         capacities, flow_specs, changes = workload
         oracle = run_workload(OracleFlowNetwork, capacities, flow_specs, changes)
-        for strategy in SOLVER_STRATEGIES:
-            assert (
-                run_workload(
-                    strategy_network(strategy), capacities, flow_specs, changes
-                )
-                == oracle
-            ), strategy
+        assert (
+            run_workload(FlowNetwork, capacities, flow_specs, changes) == oracle
+        )
 
     def test_same_epoch_burst_single_solve(self):
         # All transfers land in one epoch; deferral coalesces them and
@@ -241,33 +222,4 @@ class TestEpochDeferredBitIdentical:
         oracle = run_workload(OracleFlowNetwork, *workload)
         ids = [fid for fid, _ in oracle["completions"]]
         assert ids == sorted(ids)
-        for strategy in SOLVER_STRATEGIES:
-            assert run_workload(strategy_network(strategy), *workload) == oracle
-
-
-class TestSolverSelection:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown solver"):
-            FlowNetwork(SimEngine(), solver="magic")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "full")
-        net = FlowNetwork(SimEngine())
-        assert net.solver_strategy == "full"
-        assert not net.solver.dirty_releveling
-
-    def test_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "full")
-        net = FlowNetwork(SimEngine(), solver="dirty")
-        assert net.solver_strategy == "dirty"
-        assert net.solver.dirty_releveling
-
-    def test_resolve_never_degrades(self):
-        for name in SOLVER_STRATEGIES:
-            choice = resolve_solver(name)
-            assert choice.requested == choice.effective == name
-
-    def test_eager_disables_deferral_keeps_replay(self):
-        net = FlowNetwork(SimEngine(), solver="eager")
-        assert net.solver.dirty_releveling
-        assert not net._defer
+        assert run_workload(FlowNetwork, *workload) == oracle
