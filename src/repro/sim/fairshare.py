@@ -670,13 +670,12 @@ class FairshareSolver:
     core).
 
     The solver also keeps, per component, a :class:`_Trace` of its last
-    solve and *replays* it on churn:
-    recorded rounds whose binding constraints are untouched by the
-    change are certified unchanged (the clean flows keep their cached
-    rates bitwise), and the solve resumes generically only from the
-    first round the change can influence — re-leveling the *frontier*
-    of flows at or above the perturbed fill level instead of the whole
-    component.  Because certified rounds reproduce the exact IEEE-754
+    solve and *replays* it on churn: recorded rounds whose binding
+    constraints are untouched by the change are certified unchanged
+    (the clean flows keep their cached rates bitwise), and the solve
+    resumes generically only from the first round the change can
+    influence — re-leveling the *frontier* of flows at or above the
+    perturbed fill level instead of the whole component.  Because certified rounds reproduce the exact IEEE-754
     state the full per-component core would reach, the dirty-set result
     is bit-identical to a full re-solve (differential-tested).
     """
