@@ -28,10 +28,10 @@ from ..sim.trace import Tracer
 from ..topology.link import LinkEndpoint, LinkTier
 from ..topology.node import NodeTopology
 from ..topology.presets import frontier_node
-from ..topology.routing import Route, RoutingPolicy, route_between
+from ..topology.routing import Route, RoutingPolicy
 from .cpu import CpuSocket
 from .gcd import GcdDevice
-from .xgmi import channels_for_route, link_channel, register_link_channels
+from .xgmi import channels_for_route, register_link_channels
 
 
 class HardwareNode:
@@ -96,17 +96,16 @@ class HardwareNode:
             info.index: GcdDevice(info, self.calibration, self.network)
             for info in self.topology.gcds()
         }
-        self._route_cache: dict[
-            tuple[LinkEndpoint, LinkEndpoint, RoutingPolicy, frozenset[str]],
-            Route,
-        ] = {}
+        # Routes and their channels come from the process-wide table
+        # shared by every node on an equal topology.
+        self._compiled = self.topology.compiled()
 
         # Fault injection.  Explicit argument wins; otherwise an ambient
         # faults.install() context (entered by `repro inject` and by
         # fault-sensitivity sweep workers) donates its scenario, so
         # measurement code that builds its own nodes gets faulted
         # without signature changes.
-        self._failed_links: set[str] = set()
+        self._failed_links: frozenset[str] = frozenset()
         self.faults = None
         if faults is None:
             from ..faults.context import active as active_faults
@@ -145,15 +144,15 @@ class HardwareNode:
         The RCCL layer consults this to rebuild rings around dead
         links; empty on a healthy node.
         """
-        return frozenset(self._failed_links)
+        return self._failed_links
 
     def mark_link_failed(self, link_name: str) -> None:
         """Record a link as failed (called by the fault injector)."""
-        self._failed_links.add(link_name)
+        self._failed_links = self._failed_links | {link_name}
 
     def mark_link_restored(self, link_name: str) -> None:
         """Record a link as healed (called by the fault injector)."""
-        self._failed_links.discard(link_name)
+        self._failed_links = self._failed_links - {link_name}
 
     # -- routing -----------------------------------------------------------------
 
@@ -170,15 +169,7 @@ class HardwareNode:
         computed while a link is down detour around it and the
         original routes come back once it heals.
         """
-        failed = frozenset(self._failed_links)
-        key = (src, dst, policy, failed)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            cached = route_between(
-                self.topology, src, dst, policy, avoid=failed or None
-            )
-            self._route_cache[key] = cached
-        return cached
+        return self._compiled.route(src, dst, policy, avoid=self._failed_links)
 
     def gcd_route(
         self,
@@ -187,8 +178,8 @@ class HardwareNode:
         policy: RoutingPolicy = RoutingPolicy.BANDWIDTH_MAX,
     ) -> Route:
         """Route between two GCDs under a policy (cached)."""
-        return self.route(
-            LinkEndpoint.gcd(src_gcd), LinkEndpoint.gcd(dst_gcd), policy
+        return self._compiled.route(
+            src_gcd, dst_gcd, policy, avoid=self._failed_links
         )
 
     def cpu_link_route(self, gcd_index: int, *, to_gcd: bool) -> Route:
@@ -246,9 +237,11 @@ class HardwareNode:
         policy: RoutingPolicy = RoutingPolicy.BANDWIDTH_MAX,
     ) -> list[Hashable]:
         """All channels of a GCD→GCD data path (excluding engines)."""
-        route = self.gcd_route(src_gcd, dst_gcd, policy)
+        fabric = self._compiled.fabric_channels(
+            src_gcd, dst_gcd, policy, avoid=self._failed_links
+        )
         channels: list[Hashable] = [self.gcd(src_gcd).hbm.channel]
-        channels.extend(self.fabric_channels(route))
+        channels.extend(fabric)
         if dst_gcd != src_gcd:
             channels.append(self.gcd(dst_gcd).hbm.channel)
         return channels

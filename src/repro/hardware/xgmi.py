@@ -3,9 +3,9 @@
 Each topology :class:`~repro.topology.link.Link` is full duplex: its
 two directions are independent 50 GB/s (or 36 GB/s) channels, which is
 why the paper writes "50+50 GB/s".  The flow network therefore gets
-*two* channels per link.  This module owns the naming convention and
-the route→channel translation used by every transfer path in the
-simulator.
+*two* channels per link, whose ids each :class:`Link` computes once
+(:attr:`Link.channels`).  This module owns the route→channel
+translation used by every transfer path in the simulator.
 
 It also carries the raw protocol parameters from §II-A (16 bits per
 transaction at 25 GT/s) for documentation and for the protocol-level
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from ..errors import TopologyError
 from ..topology.link import Link, LinkEndpoint
 from ..topology.routing import Route
 
@@ -41,19 +40,12 @@ def link_channel(link: Link, src: LinkEndpoint, dst: LinkEndpoint) -> Hashable:
     = from the lexicographically smaller endpoint), so both traversal
     orders of the same physical direction map to the same channel.
     """
-    if not link.connects(src, dst):
-        raise TopologyError(
-            f"link {link.name} does not connect {src} and {dst}"
-        )
-    lo, hi = sorted((link.a, link.b))
-    direction = "fwd" if (src, dst) == (lo, hi) else "rev"
-    return ("link", link.name, direction)
+    return link.channel(src, dst)
 
 
 def both_channels(link: Link) -> tuple[Hashable, Hashable]:
     """The (fwd, rev) channel ids of a link."""
-    lo, hi = sorted((link.a, link.b))
-    return (link_channel(link, lo, hi), link_channel(link, hi, lo))
+    return link.channels
 
 
 def channels_for_route(route: Route) -> list[Hashable]:
@@ -62,20 +54,17 @@ def channels_for_route(route: Route) -> list[Hashable]:
     Local routes (zero hops) return an empty list: such transfers are
     constrained only by memory-side channels and flow caps.
     """
-    return [
-        link_channel(link, src, dst) for src, dst, link in route.hop_pairs()
-    ]
+    return [link.channel(src, dst) for src, dst, link in route.hop_pairs()]
 
 
 def reverse_channels_for_route(route: Route) -> list[Hashable]:
     """Channels for the opposite direction (responses, write-backs)."""
-    return [
-        link_channel(link, dst, src) for src, dst, link in route.hop_pairs()
-    ]
+    return [link.channel(dst, src) for src, dst, link in route.hop_pairs()]
 
 
 def register_link_channels(network, links: Iterable[Link]) -> None:
     """Add both directional channels of every link to a flow network."""
     for link in links:
-        for channel in both_channels(link):
-            network.add_channel(channel, link.capacity_per_direction)
+        capacity = link.capacity_per_direction
+        for channel in link.channels:
+            network.add_channel(channel, capacity)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from ..errors import RcclError
@@ -96,16 +95,7 @@ def xgmi_islands(
     sorted by their smallest member; members inside an island keep
     ascending order.
     """
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(g.index for g in topology.gcds())
-    for link in topology.xgmi_links():
-        graph.add_edge(link.a.index, link.b.index)
-    component_of: dict[int, int] = {}
-    for component_id, component in enumerate(nx.connected_components(graph)):
-        for gcd in component:
-            component_of[gcd] = component_id
+    component_of = topology.compiled().xgmi_component
     groups: dict[int, list[int]] = {}
     for member in sorted(members):
         groups.setdefault(component_of[member], []).append(member)
@@ -137,11 +127,11 @@ def select_algorithm(topology: NodeTopology, members: Sequence[int]) -> str:
         return "hierarchical_ring"
     if len(members) <= 4:
         return "tree"
-    degree = {member: 0 for member in members}
-    for a, b in combinations(members, 2):
-        if topology.peer_tier(a, b) is not None:
-            degree[a] += 1
-            degree[b] += 1
-    if min(degree.values()) >= 2:
+    peers = topology.compiled().xgmi_peers
+    chosen = set(members)
+    degree = [
+        sum(1 for peer, _ in peers[member] if peer in chosen) for member in members
+    ]
+    if min(degree) >= 2:
         return "ring"
     return "double_binary_tree"

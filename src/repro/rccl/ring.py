@@ -150,23 +150,27 @@ def build_greedy_ring(
     pattern search on the degraded topology.
     """
     members = _validate_members(topology, members)
-    start = min(members)
+    peers = topology.compiled().xgmi_peers
+    by_index = sorted(members)
+    lowest = 0
+    start = by_index[0]
     order = [start]
     unvisited = set(members) - {start}
     current = start
     while unvisited:
         direct = [
             (link.tier.peak_unidirectional, -candidate, candidate)
-            for candidate in unvisited
-            for link in [topology.link_between(current, candidate)]
-            if link is not None
+            for candidate, link in peers[current]
+            if candidate in unvisited
             and not (avoid_links and link.name in avoid_links)
         ]
         if direct:
             _, _, chosen = max(direct)
         else:
             # No direct link: relay to the lowest-index remaining member.
-            chosen = min(unvisited)
+            while by_index[lowest] not in unvisited:
+                lowest += 1
+            chosen = by_index[lowest]
         order.append(chosen)
         unvisited.discard(chosen)
         current = chosen

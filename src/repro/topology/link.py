@@ -163,12 +163,35 @@ class Link:
         else:
             if not (self.a.is_gcd and self.b.is_gcd):
                 raise TopologyError("xGMI-tier links must connect two GCDs")
+        # Derived once: plain attributes, not dataclass fields, so eq,
+        # hash and repr still cover only the four declared fields.
+        lo = min(self.a, self.b)
+        name = f"{lo}-{max(self.a, self.b)}:{self.tier.name.lower()}"
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_name", name)
+        object.__setattr__(
+            self, "_channels", (("link", name, "fwd"), ("link", name, "rev"))
+        )
 
     @property
     def name(self) -> str:
         """Stable identifier, endpoints in sorted order."""
-        lo, hi = sorted((self.a, self.b))
-        return f"{lo}-{hi}:{self.tier.name.lower()}"
+        return self._name
+
+    @property
+    def channels(self) -> "tuple[tuple[str, str, str], tuple[str, str, str]]":
+        """The ``(fwd, rev)`` flow-network channel ids of the two directions.
+
+        ``fwd`` leaves the smaller endpoint, so both traversal orders of
+        one physical direction map to the same channel.
+        """
+        return self._channels
+
+    def channel(self, src: LinkEndpoint, dst: LinkEndpoint) -> "tuple[str, str, str]":
+        """Channel id for crossing the link in the ``src``→``dst`` direction."""
+        if src == self.a and dst == self.b or src == self.b and dst == self.a:
+            return self._channels[0 if src == self._lo else 1]
+        raise TopologyError(f"link {self._name} does not connect {src} and {dst}")
 
     @property
     def capacity_per_direction(self) -> float:

@@ -2,9 +2,10 @@
 
 :class:`NodeTopology` holds the static structure of a compute node:
 which GCDs exist, how they pair into physical GPU packages, which NUMA
-domain each attaches to, and the Infinity Fabric edges.  It is backed
-by a :class:`networkx.Graph` for path queries but exposes a typed API
-so the rest of the library never touches raw graph attributes.
+domain each attaches to, and the Infinity Fabric edges.  It keeps a
+plain per-endpoint adjacency map of links and exposes a typed API; path
+queries run on its shared :class:`~repro.topology.compiled.CompiledTopology`
+(see :meth:`NodeTopology.compiled`).
 
 The topology is *immutable after construction*: builders assemble it
 via :class:`NodeTopologyBuilder` and then freeze.
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
 from ..errors import TopologyError
+from .compiled import CompiledTopology, compile_topology
 from .link import (
     EndpointLike,
     Link,
@@ -95,12 +95,14 @@ class NodeTopology:
             raise TopologyError("duplicate NUMA index")
 
         self._links: dict[str, Link] = {}
-        self._graph = nx.Graph()
-        for endpoint in self._all_endpoints():
-            self._graph.add_node(endpoint)
+        # endpoint -> {neighbour: link}; both directions of every link.
+        self._adjacency: dict[LinkEndpoint, dict[LinkEndpoint, Link]] = {
+            endpoint: {} for endpoint in self._all_endpoints()
+        }
         for link in links:
             self._add_link(link)
         self._validate()
+        self._fingerprint: str | None = None
 
     # -- construction helpers ------------------------------------------
 
@@ -112,17 +114,18 @@ class NodeTopology:
 
     def _add_link(self, link: Link) -> None:
         for endpoint in link.endpoints():
-            if endpoint not in self._graph:
+            if endpoint not in self._adjacency:
                 raise TopologyError(f"link {link.name} references unknown {endpoint}")
         if link.name in self._links:
             raise TopologyError(f"duplicate link {link.name}")
-        if self._graph.has_edge(link.a, link.b):
+        if link.b in self._adjacency[link.a]:
             raise TopologyError(
                 f"parallel connection between {link.a} and {link.b}; "
                 "widen the tier instead"
             )
         self._links[link.name] = link
-        self._graph.add_edge(link.a, link.b, link=link)
+        self._adjacency[link.a][link.b] = link
+        self._adjacency[link.b][link.a] = link
 
     def _validate(self) -> None:
         for gcd in self._gcds.values():
@@ -132,7 +135,17 @@ class NodeTopology:
                 )
         # Every GCD must reach every other endpoint: the paper's data
         # movement analysis presumes a connected fabric.
-        if self._gcds and not nx.is_connected(self._graph):
+        if not self._gcds:
+            return
+        start = next(iter(self._adjacency))
+        reached = {start}
+        stack = [start]
+        while stack:
+            for neighbour in self._adjacency[stack.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    stack.append(neighbour)
+        if len(reached) != len(self._adjacency):
             raise TopologyError("topology graph is not connected")
 
     # -- basic accessors -------------------------------------------------
@@ -194,9 +207,8 @@ class NodeTopology:
 
     def link_between(self, x: EndpointLike, y: EndpointLike) -> Link | None:
         """The direct link between two endpoints, or ``None``."""
-        ex, ey = as_endpoint(x), as_endpoint(y)
-        data = self._graph.get_edge_data(ex, ey)
-        return None if data is None else data["link"]
+        neighbours = self._adjacency.get(as_endpoint(x))
+        return None if neighbours is None else neighbours.get(as_endpoint(y))
 
     def require_link(self, x: EndpointLike, y: EndpointLike) -> Link:
         """Direct link between two endpoints; raises if absent."""
@@ -209,7 +221,11 @@ class NodeTopology:
 
     def neighbors(self, endpoint: EndpointLike) -> list[LinkEndpoint]:
         """Endpoints directly connected to the given one."""
-        return sorted(self._graph.neighbors(as_endpoint(endpoint)))
+        endpoint = as_endpoint(endpoint)
+        try:
+            return sorted(self._adjacency[endpoint])
+        except KeyError:
+            raise TopologyError(f"no {endpoint} in topology {self.name!r}") from None
 
     def gcd_neighbors(self, gcd_index: int) -> list[int]:
         """Indices of GCDs directly connected to ``gcd_index`` via xGMI."""
@@ -254,13 +270,13 @@ class NodeTopology:
             LinkEndpoint.gcd(gcd_index), LinkEndpoint.numa(numa)
         )
 
-    def graph(self) -> nx.Graph:
-        """A *copy* of the underlying graph, for external analysis."""
-        return self._graph.copy()
+    def compiled(self) -> CompiledTopology:
+        """The shared routing tables of this topology's structure.
 
-    def graph_view(self) -> nx.Graph:
-        """The live graph (read-only by convention); used by routing."""
-        return self._graph
+        One :class:`~repro.topology.compiled.CompiledTopology` per
+        :meth:`fingerprint`, built on first use and shared process-wide.
+        """
+        return compile_topology(self)
 
     # -- summaries ---------------------------------------------------------
 
@@ -308,6 +324,11 @@ class NodeTopology:
         fingerprint produce identical simulation results, which is what
         the result cache (:mod:`repro.runner`) keys on.
         """
+        if self._fingerprint is None:
+            self._fingerprint = self._compute_fingerprint()
+        return self._fingerprint
+
+    def _compute_fingerprint(self) -> str:
         import hashlib
 
         parts: list[str] = []

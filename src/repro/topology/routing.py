@@ -21,13 +21,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import RoutingError
-from .link import EndpointLike, Link, LinkEndpoint, as_endpoint
-from .node import NodeTopology
+from .link import EndpointLike, Link, LinkEndpoint
+
+if TYPE_CHECKING:
+    from .node import NodeTopology
 
 
 class RoutingPolicy(enum.Enum):
@@ -91,36 +91,15 @@ class Route:
         return "-".join(str(n) for n in self.nodes)
 
 
-def _route_from_nodes(
-    topology: NodeTopology, nodes: Sequence[LinkEndpoint]
-) -> Route:
-    links = tuple(
-        topology.require_link(nodes[i], nodes[i + 1])
-        for i in range(len(nodes) - 1)
-    )
-    return Route(tuple(nodes), links)
-
-
-def _node_sort_key(node: LinkEndpoint) -> tuple[str, int]:
-    return (node.kind, node.index)
-
-
 def shortest_path(
     topology: NodeTopology, src: EndpointLike, dst: EndpointLike
 ) -> Route:
-    """Fewest-hop route; deterministic tie-break (lexicographic)."""
-    source, target = as_endpoint(src), as_endpoint(dst)
-    if source == target:
-        return Route((source,), ())
-    graph = topology.graph_view()
-    try:
-        candidates = nx.all_shortest_paths(graph, source, target)
-        best = min(
-            candidates, key=lambda path: [_node_sort_key(n) for n in path]
-        )
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise RoutingError(f"no path from {source} to {target}") from None
-    return _route_from_nodes(topology, best)
+    """Fewest-hop route; deterministic tie-break (lexicographic).
+
+    Among all fewest-hop paths the one with the smallest node sequence
+    wins, nodes comparing by ``(kind, index)``.
+    """
+    return topology.compiled().route(src, dst, RoutingPolicy.SHORTEST)
 
 
 def bandwidth_maximizing_path(
@@ -136,45 +115,27 @@ def bandwidth_maximizing_path(
     The search is bounded to ``shortest + max_extra_hops`` hops, which
     matches hardware behaviour: the runtime only considers short
     detours (the observed 1-0-6-7 route is one hop longer than the
-    shortest).  Ties on (bottleneck, hops) break lexicographically on
-    the node sequence, making the route deterministic and therefore the
-    simulated latency matrix reproducible.
+    shortest).  Candidates are ranked by the total key
+    ``(-bottleneck, node count, node sequence)``, so ties on
+    (bottleneck, hops) break lexicographically on the node sequence,
+    making the route deterministic and therefore the simulated latency
+    matrix reproducible.
 
     ``avoid`` names links (by :attr:`Link.name`) the route must not
     cross — failed fabric links under fault injection.  Candidate paths
     crossing an avoided link are discarded; when no candidate survives
     within the hop bound, :class:`RoutingError` is raised.
-    """
-    source, target = as_endpoint(src), as_endpoint(dst)
-    if source == target:
-        return Route((source,), ())
-    graph = topology.graph_view()
-    try:
-        base_len = nx.shortest_path_length(graph, source, target)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise RoutingError(f"no path from {source} to {target}") from None
 
-    cutoff = base_len + max_extra_hops
-    best_key: tuple[float, int, list[tuple[str, int]]] | None = None
-    best_nodes: list[LinkEndpoint] | None = None
-    for path in nx.all_simple_paths(graph, source, target, cutoff=cutoff):
-        hop_links = [
-            graph.edges[path[i], path[i + 1]]["link"]
-            for i in range(len(path) - 1)
-        ]
-        if avoid and any(link.name in avoid for link in hop_links):
-            continue
-        capacity = min(link.capacity_per_direction for link in hop_links)
-        key = (-capacity, len(path), [_node_sort_key(n) for n in path])
-        if best_key is None or key < best_key:
-            best_key = key
-            best_nodes = path
-    if best_nodes is None:
-        raise RoutingError(
-            f"no path from {source} to {target} within {cutoff} hops "
-            f"avoiding {sorted(avoid or ())}"
-        )
-    return _route_from_nodes(topology, best_nodes)
+    Routes are computed once per topology structure and link-health
+    state (:mod:`repro.topology.compiled`).
+    """
+    return topology.compiled().route(
+        src,
+        dst,
+        RoutingPolicy.BANDWIDTH_MAX,
+        max_extra_hops=max_extra_hops,
+        avoid=frozenset(avoid) if avoid else frozenset(),
+    )
 
 
 def route_between(

@@ -116,11 +116,16 @@ class TestQueries:
         assert census[LinkTier.SINGLE] == 6
         assert census[LinkTier.CPU] == 8
 
-    def test_graph_copy_is_independent(self, topology):
-        graph = topology.graph()
-        graph.remove_node(next(iter(graph.nodes)))
+    def test_compiled_tables_are_independent_copies(self, topology):
+        compiled = topology.compiled()
+        # Adjacency is tuples all the way down: nothing to mutate.
+        assert all(isinstance(pairs, tuple) for pairs in compiled.adjacency)
+        neighbours = topology.neighbors(0)
+        neighbours.clear()
         # The original is untouched.
         assert topology.num_gcds == 8
+        assert topology.gcd_neighbors(0) == [1, 2, 6]
+        assert topology.compiled() is compiled
 
     def test_describe_mentions_tiers(self, topology):
         text = topology.describe()
