@@ -31,9 +31,15 @@ Two entry points share one progressive-filling core:
   *bit-identical* to the batch solution for the same flow set — a
   property the hypothesis churn tests pin.
 
-The per-component core has a NumPy-vectorized inner loop for large
-components and a plain-Python loop for small ones; both perform the
-same IEEE-754 operations element-wise, so they agree bitwise too.
+The per-component core, :func:`_fill`, is one scalar loop for every
+component size, and dirty-set replay resumes the same loop mid-solve.
+It gives channels dense local ids and keeps per-channel counts of
+unfrozen flows incrementally; since all unfrozen flows share one fill
+level, a single running sum stands in for their rates, and channels
+their members' caps can never fill are left out of the rounds.  A lone
+flow takes a closed-form fast path.  ``tests/sim/flow_oracle.py``
+holds an independent set-based reference loop the core must match
+bitwise.
 
 The batch function is pure (no engine state), which lets the test
 suite verify its invariants exhaustively with hypothesis:
@@ -50,14 +56,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-import numpy as _np
-
 from ..errors import SimulationError
 
 ChannelId = Hashable
-
-#: Components at least this large take the vectorized inner loop.
-_VECTORIZE_THRESHOLD = 8
 
 #: Components at least this large record a solve trace for dirty-set
 #: re-leveling (smaller ones are cheaper to re-solve outright).
@@ -134,8 +135,10 @@ class FlowSpec:
     cap: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.cap <= 0:
-            raise SimulationError(f"flow {self.flow_id!r} cap must be positive")
+        if not self.cap > 0:  # also rejects NaN
+            raise SimulationError(
+                f"flow {self.flow_id!r} cap must be positive, got {self.cap!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -143,228 +146,170 @@ class FlowSpec:
 # ---------------------------------------------------------------------------
 
 
-def _solve_component_python(
+def _saturation_level(capacity: float) -> float:
+    """Residual at or below which a channel of ``capacity`` is full.
+
+    An unbounded channel never saturates: its residual stays infinite,
+    and ``inf <= slack * inf`` must not count as full.
+    """
+    if capacity == math.inf:
+        return -math.inf
+    return _CHANNEL_SLACK * capacity
+
+
+def _fill(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ChannelId, float],
     bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
     trace: "_Trace | None" = None,
+    residuals: "Mapping[ChannelId, float] | None" = None,
+    level: float = 0.0,
+    round_index: int = 0,
 ) -> dict[Hashable, float]:
-    """Scalar progressive filling over one (small) component.
+    """Progressive filling over one component (the only filling loop).
+
+    Every flow starts unfrozen at the shared fill ``level``; each round
+    raises the level by the tightest headroom ``delta``, then freezes
+    the flows of newly full channels and the flows at their caps.  All
+    unfrozen flows receive the identical delta sequence, so one scalar
+    fold stands in for every unfrozen rate.  Channels get dense local
+    ids, and the per-channel count of unfrozen flows is decremented as
+    flows freeze; ``live`` keeps the channels that still have some and
+    that their members' caps could fill.
+
+    A fresh solve starts from full capacities at level 0.0 in round 0.
+    A resumed one (dirty-set replay) passes the reconstructed
+    ``residuals`` of the flows' channels, the level and the round.
 
     With ``bottlenecks`` (a dict to fill), each flow's freeze reason is
-    recorded as a side product: the first channel in the flow's channel
-    tuple that was full at its freeze iteration, or ``None`` when the
-    flow froze at its own cap.  With ``trace``, the round structure is
-    recorded for dirty-set replay.  Attribution and tracing only *read*
-    solver state, so the returned rates are bit-identical either way.
+    recorded: the first channel in the flow's channel tuple that is
+    full at its freeze round, or ``None`` when it froze at its own cap.
+    With ``trace``, the rounds are appended for dirty-set replay.  Both
+    only read solver state, so the rates are bit-identical either way.
     """
-    rate: dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    unfrozen: set[Hashable] = set(rate)
-    flows_by_id = {f.flow_id: f for f in flows}
-
-    members: dict[ChannelId, set[Hashable]] = {}
-    for flow in flows:
+    n = len(flows)
+    index: dict[ChannelId, int] = {}
+    members: list[list[int]] = []
+    flow_channels: list[list[int]] = []
+    for j, flow in enumerate(flows):
+        own: list[int] = []
         for channel in flow.channels:
-            members.setdefault(channel, set()).add(flow.flow_id)
-    residual: dict[ChannelId, float] = {
-        channel: capacities[channel] for channel in members
-    }
+            c = index.get(channel)
+            if c is None:
+                index[channel] = c = len(members)
+                members.append([j])
+                own.append(c)
+            elif members[c][-1] != j:  # a route may repeat a channel
+                members[c].append(j)
+                own.append(c)
+        flow_channels.append(own)
+    channel_ids = list(index)
+    capacity = [capacities[channel] for channel in channel_ids]
+    if residuals is None:
+        residual = capacity[:]
+    else:
+        residual = [residuals[channel] for channel in channel_ids]
+    full_at = [_saturation_level(cap) for cap in capacity]
+    count = [len(group) for group in members]
+    caps = [flow.cap for flow in flows]
+    # Leave out channels that can never fill or bind.  When the members'
+    # combined headroom to their caps leaves more than twice the
+    # saturation slack, the residual stays above the slack and the
+    # share above the smallest member headroom (so above every delta):
+    # skipping such a channel changes no result bit.  An uncapped
+    # member makes the headroom infinite and keeps the channel.
+    live: list[int] = []
+    for c, group in enumerate(members):
+        headroom = 0.0
+        for j in group:
+            headroom += caps[j] - level
+        if not residual[c] - headroom > 2.0 * full_at[c]:
+            live.append(c)
+    capped = [j for j in range(n) if caps[j] < math.inf]
+    cap_at = [cap - _CAP_SLACK * cap for cap in caps]
+    rate = [level] * n
+    frozen = [False] * n
+    unfrozen = n
 
-    # Each iteration freezes at least one flow, so the loop runs at
-    # most len(flows) times.
-    round_index = 0
     while unfrozen:
-        delta = math.inf
-        for channel, group in members.items():
-            active = group & unfrozen
-            if active:
-                delta = min(delta, residual[channel] / len(active))
-        for flow_id in unfrozen:
-            flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf:
-                delta = min(delta, flow.cap - rate[flow_id])
-
-        if delta is math.inf:
+        shares = [residual[c] / count[c] for c in live]
+        delta = min(shares) if shares else math.inf
+        for j in capped:
+            headroom = caps[j] - level
+            if headroom < delta:
+                delta = headroom
+        if delta == math.inf:
+            ids = [repr(flows[j].flow_id) for j in range(n) if not frozen[j]]
             raise SimulationError(
-                "unconstrained flows (no channels and no cap): "
-                f"{sorted(map(repr, unfrozen))}"
+                f"unconstrained flows (no channels and no cap): {sorted(ids)}"
             )
         delta = max(delta, 0.0)
 
         if trace is not None:
-            binding_ch = []
-            for channel, group in members.items():
-                active = group & unfrozen
-                if active and residual[channel] / len(active) == delta:
-                    binding_ch.append(channel)
-            binding_cap = []
-            for flow_id in unfrozen:
-                flow = flows_by_id[flow_id]
-                if flow.cap is not math.inf and flow.cap - rate[flow_id] == delta:
-                    binding_cap.append(flow_id)
             trace.deltas.append(delta)
-            trace.binding_channels.append(tuple(binding_ch))
-            trace.binding_caps.append(tuple(binding_cap))
+            trace.binding_channels.append(
+                tuple(
+                    channel_ids[c]
+                    for c, share in zip(live, shares)
+                    if share == delta
+                )
+            )
+            trace.binding_caps.append(
+                tuple(flows[j].flow_id for j in capped if caps[j] - level == delta)
+            )
 
-        for flow_id in unfrozen:
-            rate[flow_id] += delta
-        for channel, group in members.items():
-            active = group & unfrozen
-            if active:
-                residual[channel] -= delta * len(active)
-
-        frozen_now: set[Hashable] = set()
-        full: set[ChannelId] = set()
-        for channel, group in members.items():
-            if residual[channel] <= _CHANNEL_SLACK * capacities[channel]:
-                full.add(channel)
-                frozen_now |= group & unfrozen
-        if bottlenecks is not None:
-            for flow_id in frozen_now:
-                # A channel-frozen flow crosses at least one full channel;
-                # blame the first one in its route for determinism.
-                for channel in flows_by_id[flow_id].channels:
-                    if channel in full:
-                        bottlenecks[flow_id] = channel
-                        break
-        for flow_id in unfrozen:
-            flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf and rate[flow_id] >= flow.cap - _CAP_SLACK * flow.cap:
-                if bottlenecks is not None and flow_id not in frozen_now:
-                    bottlenecks[flow_id] = None  # cap-bound, not channel-bound
-                rate[flow_id] = flow.cap
-                frozen_now.add(flow_id)
+        level += delta
+        full: list[int] = []
+        for c in live:
+            left = residual[c] = residual[c] - delta * count[c]
+            if left <= full_at[c]:
+                full.append(c)
+        frozen_now: list[int] = []
+        for c in full:
+            # An unfrozen flow's channels all count it, so a zero count
+            # on its route marks a channel that filled this round.
+            count[c] = 0
+        for c in full:
+            for j in members[c]:
+                if frozen[j]:
+                    continue
+                frozen[j] = True
+                frozen_now.append(j)
+                rate[j] = level
+                if bottlenecks is not None:
+                    # Blame the first full channel of the route.
+                    for own in flow_channels[j]:
+                        if not count[own]:
+                            bottlenecks[flows[j].flow_id] = channel_ids[own]
+                            break
+        still: list[int] = []
+        for j in capped:
+            if level >= cap_at[j]:
+                rate[j] = caps[j]
+                if not frozen[j]:
+                    frozen[j] = True
+                    frozen_now.append(j)
+                    if bottlenecks is not None:
+                        bottlenecks[flows[j].flow_id] = None
+            elif not frozen[j]:
+                still.append(j)
+        capped = still
         if not frozen_now:
             raise SimulationError("progressive filling made no progress")
         if trace is not None:
-            for channel in full:
-                trace.full_round.setdefault(channel, round_index)
-            for flow_id in frozen_now:
-                trace.freeze_round[flow_id] = round_index
-        unfrozen -= frozen_now
-        round_index += 1
-
-    return rate
-
-
-def _solve_component_numpy(
-    flows: Sequence[FlowSpec],
-    capacities: Mapping[ChannelId, float],
-    bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
-    trace: "_Trace | None" = None,
-) -> dict[Hashable, float]:
-    """Vectorized progressive filling over one (large) component.
-
-    Performs the same IEEE-754 operations as the scalar loop
-    element-wise (divisions, min-selection, subtraction), so the
-    result is bit-identical to :func:`_solve_component_python`.
-    Bottleneck attribution (see the scalar core) and trace recording
-    only read solver state and use the same tie-break rules, so the
-    two cores also agree on freeze reasons and traces.
-    """
-    n = len(flows)
-    channel_index: dict[ChannelId, int] = {}
-    for flow in flows:
-        for channel in flow.channels:
-            if channel not in channel_index:
-                channel_index[channel] = len(channel_index)
-    m = len(channel_index)
-    channels_by_index = list(channel_index)
-
-    incidence = _np.zeros((m, n), dtype=bool)
-    for j, flow in enumerate(flows):
-        for channel in flow.channels:
-            incidence[channel_index[channel], j] = True
-
-    capacity = _np.empty(m, dtype=float)
-    for channel, i in channel_index.items():
-        capacity[i] = capacities[channel]
-    residual = capacity.copy()
-    caps = _np.array([flow.cap for flow in flows], dtype=float)
-    finite_cap = _np.isfinite(caps)
-    rate = _np.zeros(n, dtype=float)
-    unfrozen = _np.ones(n, dtype=bool)
-
-    round_index = 0
-    was_full = _np.zeros(m, dtype=bool)
-    while unfrozen.any():
-        # Per-channel count of active (unfrozen) flows.
-        active_counts = incidence @ unfrozen.astype(_np.intp)
-        delta = math.inf
-        occupied = active_counts > 0
-        if occupied.any():
-            delta = float((residual[occupied] / active_counts[occupied]).min())
-        headroom_mask = finite_cap & unfrozen
-        if headroom_mask.any():
-            delta = min(delta, float((caps[headroom_mask] - rate[headroom_mask]).min()))
-
-        if delta is math.inf or delta == math.inf:
-            ids = [flows[j].flow_id for j in range(n) if unfrozen[j]]
-            raise SimulationError(
-                "unconstrained flows (no channels and no cap): "
-                f"{sorted(map(repr, ids))}"
-            )
-        delta = max(delta, 0.0)
-
-        if trace is not None:
-            binding = _np.zeros(m, dtype=bool)
-            binding[occupied] = (
-                residual[occupied] / active_counts[occupied]
-            ) == delta
-            trace.binding_channels.append(
-                tuple(channels_by_index[i] for i in _np.nonzero(binding)[0])
-            )
-            cap_binding = _np.zeros(n, dtype=bool)
-            if headroom_mask.any():
-                cap_binding[headroom_mask] = (
-                    caps[headroom_mask] - rate[headroom_mask]
-                ) == delta
-            trace.binding_caps.append(
-                tuple(flows[j].flow_id for j in _np.nonzero(cap_binding)[0])
-            )
-            trace.deltas.append(delta)
-
-        rate[unfrozen] += delta
-        residual[occupied] -= delta * active_counts[occupied]
-
-        frozen_now = _np.zeros(n, dtype=bool)
-        full = residual <= _CHANNEL_SLACK * capacity
-        if full.any():
-            frozen_now |= (incidence[full].any(axis=0)) & unfrozen
-            if bottlenecks is not None:
-                full_ids = {
-                    channel for channel, i in channel_index.items() if full[i]
-                }
-                for j in _np.nonzero(frozen_now)[0]:
-                    flow = flows[j]
-                    for channel in flow.channels:
-                        if channel in full_ids:
-                            bottlenecks[flow.flow_id] = channel
-                            break
-        if headroom_mask.any():
-            capped = _np.zeros(n, dtype=bool)
-            capped[headroom_mask] = rate[headroom_mask] >= (
-                caps[headroom_mask] - _CAP_SLACK * caps[headroom_mask]
-            )
-            if capped.any():
-                if bottlenecks is not None:
-                    # Channel attribution wins ties, matching the scalar core.
-                    for j in _np.nonzero(capped & ~frozen_now)[0]:
-                        bottlenecks[flows[j].flow_id] = None
-                rate[capped] = caps[capped]
-                frozen_now |= capped
-        if not frozen_now.any():
-            raise SimulationError("progressive filling made no progress")
-        if trace is not None:
-            for i in _np.nonzero(full & ~was_full)[0]:
-                trace.full_round[channels_by_index[i]] = round_index
-            was_full |= full
-            for j in _np.nonzero(frozen_now)[0]:
+            for c in full:
+                trace.full_round.setdefault(channel_ids[c], round_index)
+            for j in frozen_now:
                 trace.freeze_round[flows[j].flow_id] = round_index
-        unfrozen &= ~frozen_now
+        unfrozen -= len(frozen_now)
+        for j in frozen_now:
+            for c in flow_channels[j]:
+                if count[c]:
+                    count[c] -= 1
+        live = [c for c in live if count[c]]
         round_index += 1
 
-    return {flow.flow_id: float(rate[j]) for j, flow in enumerate(flows)}
+    return {flow.flow_id: rate[j] for j, flow in enumerate(flows)}
 
 
 def _solve_component(
@@ -373,127 +318,35 @@ def _solve_component(
     bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
     trace: "_Trace | None" = None,
 ) -> dict[Hashable, float]:
-    """Level one connected component; dispatches scalar vs vectorized."""
+    """Level one connected component (a lone flow takes a fast path)."""
     if not flows:
         return {}
-    if len(flows) == 1:
-        # Fast path: a lone flow takes min(cap, narrowest channel).
-        flow = flows[0]
-        best = flow.cap
+    if len(flows) > 1:
+        return _fill(flows, capacities, bottlenecks, trace)
+    # Fast path: a lone flow takes min(cap, narrowest channel).
+    flow = flows[0]
+    best = flow.cap
+    for channel in flow.channels:
+        capacity = capacities[channel]
+        if capacity < best:
+            best = capacity
+    if best == math.inf:
+        raise SimulationError(
+            "unconstrained flows (no channels and no cap): "
+            f"{[repr(flow.flow_id)]}"
+        )
+    if bottlenecks is not None:
+        # Mirror the filling loop's freeze conditions: blame the first
+        # channel with no slack above the allocation; a flow with slack
+        # everywhere froze at its own cap.
+        bottleneck: ChannelId | None = None
         for channel in flow.channels:
             capacity = capacities[channel]
-            if capacity < best:
-                best = capacity
-        if best is math.inf or best == math.inf:
-            raise SimulationError(
-                "unconstrained flows (no channels and no cap): "
-                f"{[repr(flow.flow_id)]}"
-            )
-        if bottlenecks is not None:
-            # Mirror the iterative cores' freeze conditions: blame the
-            # first channel with no slack above the allocation; a flow
-            # with slack everywhere froze at its own cap.
-            bottleneck: ChannelId | None = None
-            for channel in flow.channels:
-                capacity = capacities[channel]
-                if capacity - best <= _CHANNEL_SLACK * capacity:
-                    bottleneck = channel
-                    break
-            bottlenecks[flow.flow_id] = bottleneck
-        return {flow.flow_id: best}
-    if len(flows) >= _VECTORIZE_THRESHOLD:
-        return _solve_component_numpy(flows, capacities, bottlenecks, trace)
-    return _solve_component_python(flows, capacities, bottlenecks, trace)
-
-
-def _resume_fill(
-    flows_by_id: "dict[Hashable, FlowSpec]",
-    rate: "dict[Hashable, float]",
-    members: "dict[ChannelId, set[Hashable]]",
-    residual: "dict[ChannelId, float]",
-    capacities: Mapping[ChannelId, float],
-    bottlenecks: "dict[Hashable, ChannelId | None] | None",
-    trace: _Trace,
-    round_index: int,
-) -> dict[Hashable, float]:
-    """Continue scalar progressive filling from a reconstructed state.
-
-    Performs exactly the operations :func:`_solve_component_python`
-    would from round ``round_index`` of a solve whose state (rates of
-    the unfrozen flows, residuals of their channels) has been
-    reconstructed bitwise — so the resumed suffix is bit-identical to
-    the tail of a full re-solve.  Mutates ``rate`` and ``residual`` in
-    place and appends the suffix rounds to ``trace``.
-    """
-    unfrozen: set[Hashable] = set(rate)
-    while unfrozen:
-        delta = math.inf
-        for channel, group in members.items():
-            active = group & unfrozen
-            if active:
-                delta = min(delta, residual[channel] / len(active))
-        for flow_id in unfrozen:
-            flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf:
-                delta = min(delta, flow.cap - rate[flow_id])
-
-        if delta is math.inf:
-            raise SimulationError(
-                "unconstrained flows (no channels and no cap): "
-                f"{sorted(map(repr, unfrozen))}"
-            )
-        delta = max(delta, 0.0)
-
-        binding_ch = []
-        for channel, group in members.items():
-            active = group & unfrozen
-            if active and residual[channel] / len(active) == delta:
-                binding_ch.append(channel)
-        binding_cap = []
-        for flow_id in unfrozen:
-            flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf and flow.cap - rate[flow_id] == delta:
-                binding_cap.append(flow_id)
-        trace.deltas.append(delta)
-        trace.binding_channels.append(tuple(binding_ch))
-        trace.binding_caps.append(tuple(binding_cap))
-
-        for flow_id in unfrozen:
-            rate[flow_id] += delta
-        for channel, group in members.items():
-            active = group & unfrozen
-            if active:
-                residual[channel] -= delta * len(active)
-
-        frozen_now: set[Hashable] = set()
-        full: set[ChannelId] = set()
-        for channel, group in members.items():
-            if residual[channel] <= _CHANNEL_SLACK * capacities[channel]:
-                full.add(channel)
-                frozen_now |= group & unfrozen
-        if bottlenecks is not None:
-            for flow_id in frozen_now:
-                for channel in flows_by_id[flow_id].channels:
-                    if channel in full:
-                        bottlenecks[flow_id] = channel
-                        break
-        for flow_id in unfrozen:
-            flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf and rate[flow_id] >= flow.cap - _CAP_SLACK * flow.cap:
-                if bottlenecks is not None and flow_id not in frozen_now:
-                    bottlenecks[flow_id] = None
-                rate[flow_id] = flow.cap
-                frozen_now.add(flow_id)
-        if not frozen_now:
-            raise SimulationError("progressive filling made no progress")
-        for channel in full:
-            trace.full_round.setdefault(channel, round_index)
-        for flow_id in frozen_now:
-            trace.freeze_round[flow_id] = round_index
-        unfrozen -= frozen_now
-        round_index += 1
-
-    return rate
+            if capacity - best <= _saturation_level(capacity):
+                bottleneck = channel
+                break
+        bottlenecks[flow.flow_id] = bottleneck
+    return {flow.flow_id: best}
 
 
 def _connected_components(
@@ -545,8 +398,11 @@ def _validate_problem(
     # traffic has been failed over or rerouted off it first.
     referenced = {channel for flow in flows for channel in flow.channels}
     for channel in referenced:
-        if capacities[channel] <= 0:
-            raise SimulationError(f"channel {channel!r} capacity must be positive")
+        capacity = capacities[channel]
+        if not capacity > 0:  # also rejects NaN
+            raise SimulationError(
+                f"channel {channel!r} capacity must be positive, got {capacity!r}"
+            )
 
 
 def max_min_fair_rates(
@@ -713,8 +569,10 @@ class FairshareSolver:
         """Register a channel; duplicate ids or bad capacities raise."""
         if channel in self._capacities:
             raise SimulationError(f"channel {channel!r} already exists")
-        if capacity <= 0:
-            raise SimulationError(f"channel {channel!r} capacity must be positive")
+        if not capacity > 0:  # also rejects NaN
+            raise SimulationError(
+                f"channel {channel!r} capacity must be positive, got {capacity!r}"
+            )
         self._capacities[channel] = capacity
 
     def set_capacity(
@@ -736,9 +594,9 @@ class FairshareSolver:
         """
         if channel not in self._capacities:
             raise SimulationError(f"unknown channel {channel!r}")
-        if capacity < 0:
+        if not capacity >= 0:  # also rejects NaN
             raise SimulationError(
-                f"channel {channel!r} capacity must be non-negative"
+                f"channel {channel!r} capacity must be non-negative, got {capacity!r}"
             )
         members = self._members.get(channel)
         if capacity == 0 and members:
@@ -1124,9 +982,7 @@ class FairshareSolver:
             for channel in dirty_list:
                 if channel in dfull:
                     continue
-                now_full = (
-                    dres[channel] <= _CHANNEL_SLACK * capacities[channel]
-                )
+                now_full = dres[channel] <= _saturation_level(capacities[channel])
                 if now_full != (full_round.get(channel) == r):
                     mismatch = True
                     break
@@ -1187,13 +1043,12 @@ class FairshareSolver:
         if diverged < 0:
             self._replay_failures.pop(store_comp, None)
             return self._replay_commit(
-                trace, store_comp, dirty_list, dirty_set, dfull, dres,
-                clean_rounds, added_on, a_spec, a_rate, a_frozen,
-                a_bottleneck, removed_ids, nrounds,
+                trace, store_comp, dirty_list, dfull, dres, a_spec, a_rate,
+                a_frozen, a_bottleneck, removed_ids, nrounds,
             )
         if diverged == 0:
             # Nothing certified: the frontier is the whole component, so
-            # a full (vectorized) re-solve beats a scalar resume.
+            # resuming would only redo a full solve with more bookkeeping.
             self._replay_failures[store_comp] = (
                 self._replay_failures.get(store_comp, 0) + 1
             )
@@ -1209,11 +1064,8 @@ class FairshareSolver:
         trace: _Trace,
         store_comp: int,
         dirty_list: "list[ChannelId]",
-        dirty_set: "set[ChannelId]",
         dfull: "dict[ChannelId, int]",
         dres: "dict[ChannelId, float]",
-        clean_rounds: "dict[ChannelId, list[int]]",
-        added_on: "dict[ChannelId, list[Hashable]]",
         a_spec: "dict[Hashable, FlowSpec]",
         a_rate: "dict[Hashable, float]",
         a_frozen: "dict[Hashable, int]",
@@ -1224,90 +1076,12 @@ class FairshareSolver:
         """Finish a fully-certified replay: continuation + bookkeeping.
 
         Every recorded round survived, so only added flows can still be
-        unfrozen; progressive filling continues over them and the dirty
-        channels alone — the exact rounds a full solve would append,
-        since every original constraint is exhausted.
+        unfrozen; progressive filling continues over them and their
+        (dirty) channels alone — the exact rounds a full solve would
+        append, since every original constraint is exhausted.
         """
-        r = nrounds
-        while len(a_frozen) < len(a_spec):
-            delta = math.inf
-            counts: dict[ChannelId, int] = {}
-            for channel in dirty_list:
-                if channel in dfull:
-                    continue
-                count = 0
-                for fid in added_on[channel]:
-                    if fid not in a_frozen:
-                        count += 1
-                if count == 0:
-                    continue
-                counts[channel] = count
-                delta = min(delta, dres[channel] / count)
-            for fid, spec in a_spec.items():
-                if fid not in a_frozen and spec.cap is not math.inf:
-                    delta = min(delta, spec.cap - a_rate[fid])
-            if delta is math.inf or delta == math.inf:
-                ids = [repr(f) for f in a_spec if f not in a_frozen]
-                raise SimulationError(
-                    "unconstrained flows (no channels and no cap): "
-                    f"{sorted(ids)}"
-                )
-            delta = max(delta, 0.0)
-
-            binding_ch = [
-                channel
-                for channel, count in counts.items()
-                if dres[channel] / count == delta
-            ]
-            binding_cap = [
-                fid
-                for fid, spec in a_spec.items()
-                if fid not in a_frozen
-                and spec.cap is not math.inf
-                and spec.cap - a_rate[fid] == delta
-            ]
-            trace.deltas.append(delta)
-            trace.binding_channels.append(tuple(binding_ch))
-            trace.binding_caps.append(tuple(binding_cap))
-
-            for channel, count in counts.items():
-                dres[channel] -= delta * count
-            for fid in a_spec:
-                if fid not in a_frozen:
-                    a_rate[fid] += delta
-
-            for channel in list(counts):
-                if channel in dfull:
-                    continue
-                if dres[channel] <= _CHANNEL_SLACK * self._capacities[channel]:
-                    dfull[channel] = r
-            frozen_this_round = False
-            for fid, spec in a_spec.items():
-                if fid in a_frozen:
-                    continue
-                bottleneck: ChannelId | None = None
-                for channel in spec.channels:
-                    if channel in dfull:
-                        bottleneck = channel
-                        break
-                cap = spec.cap
-                capped = cap is not math.inf and a_rate[fid] >= cap - _CAP_SLACK * cap
-                if bottleneck is not None:
-                    a_frozen[fid] = r
-                    a_bottleneck[fid] = bottleneck
-                    if capped:
-                        a_rate[fid] = cap
-                    frozen_this_round = True
-                elif capped:
-                    a_frozen[fid] = r
-                    a_bottleneck[fid] = None
-                    a_rate[fid] = cap
-                    frozen_this_round = True
-            if not frozen_this_round:
-                raise SimulationError("progressive filling made no progress")
-            r += 1
-
-        # Fix up the trace in place for the perturbed component.
+        # Fix up the trace in place for the perturbed component; the
+        # continuation appends its own rounds.
         if removed_ids:
             for fid in removed_ids:
                 trace.freeze_round.pop(fid, None)
@@ -1318,10 +1092,22 @@ class FairshareSolver:
         self._traces[store_comp] = trace
 
         updated = dict(a_rate)
-        self._rates.update(updated)
         if self._track_bottlenecks:
-            for fid in a_spec:
-                self._bottlenecks[fid] = a_bottleneck.get(fid)
+            for fid in a_frozen:
+                self._bottlenecks[fid] = a_bottleneck[fid]
+        pending = [spec for fid, spec in a_spec.items() if fid not in a_frozen]
+        if pending:
+            # Unfrozen added flows all hold the fold of every recorded
+            # delta; residuals of their channels are the dirty ones.
+            bottlenecks = self._bottlenecks if self._track_bottlenecks else None
+            level = a_rate[pending[0].flow_id]
+            updated.update(
+                _fill(
+                    pending, self._capacities, bottlenecks, trace, dres, level,
+                    nrounds,
+                )
+            )
+        self._rates.update(updated)
         stats = self.stats
         stats.dirty_relevels += 1
         stats.replay_rounds += nrounds
@@ -1348,7 +1134,7 @@ class FairshareSolver:
         frontier's rates (a fold of the certified deltas) and the
         suffix channels' residuals (a fold of delta × active-count, in
         recording order) equal the full core's state exactly; resuming
-        the scalar fill from there matches a full re-solve bit for bit.
+        the fill from there matches a full re-solve bit for bit.
         """
         capacities = self._capacities
         deltas = trace.deltas
@@ -1365,32 +1151,23 @@ class FairshareSolver:
             elif freeze_round[fid] >= diverged:
                 frontier.append(fid)
 
-        # All clean frontier flows carry the identical certified fill.
+        # Every frontier flow sits at the identical certified fill: the
+        # clean ones by the recorded fold, the added ones because the
+        # replay folded the same deltas into their rates from 0.0.
         acc = 0.0
         for s in range(diverged):
             acc += deltas[s]
-
-        flows_by_id: dict[Hashable, FlowSpec] = {}
-        rate: dict[Hashable, float] = {}
-        for fid in frontier:
-            if fid in a_spec:
-                flows_by_id[fid] = a_spec[fid]
-                rate[fid] = a_rate[fid]
-            else:
-                flows_by_id[fid] = self._flows[fid]
-                rate[fid] = acc
+        specs = [
+            a_spec[fid] if fid in a_spec else self._flows[fid] for fid in frontier
+        ]
 
         # Suffix channels: every channel a frontier flow crosses (none
         # of them saturated yet — a saturated channel has no unfrozen
         # members).  Clean residuals fold the recorded deltas against
         # the channel's historic active counts, reproducing the core's
         # subtraction sequence bitwise.
-        members: dict[ChannelId, set[Hashable]] = {}
-        for fid in frontier:
-            for channel in flows_by_id[fid].channels:
-                members.setdefault(channel, set()).add(fid)
         residual: dict[ChannelId, float] = {}
-        for channel in members:
+        for channel in dict.fromkeys(c for spec in specs for c in spec.channels):
             if channel in dirty_set:
                 residual[channel] = dres[channel]
                 continue
@@ -1425,15 +1202,8 @@ class FairshareSolver:
         resumed.full_round.update(dfull)
 
         bottlenecks = self._bottlenecks if self._track_bottlenecks else None
-        solved = _resume_fill(
-            flows_by_id,
-            rate,
-            members,
-            residual,
-            capacities,
-            bottlenecks,
-            resumed,
-            diverged,
+        solved = _fill(
+            specs, capacities, bottlenecks, resumed, residual, acc, diverged
         )
         self._traces[store_comp] = resumed
 

@@ -51,16 +51,18 @@ class Channel:
     capacity: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        if not self.capacity > 0:  # also rejects NaN
             raise SimulationError(
-                f"channel {self.channel_id!r} capacity must be positive"
+                f"channel {self.channel_id!r} capacity must be positive, "
+                f"got {self.capacity!r}"
             )
 
     def set_capacity(self, capacity: float) -> None:
         """Set a new capacity (non-negative; zero models a failed link)."""
-        if capacity < 0:
+        if not capacity >= 0:  # also rejects NaN
             raise SimulationError(
-                f"channel {self.channel_id!r} capacity must be non-negative"
+                f"channel {self.channel_id!r} capacity must be non-negative, "
+                f"got {capacity!r}"
             )
         self.capacity = capacity
 

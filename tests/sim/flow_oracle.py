@@ -3,18 +3,22 @@
 :class:`OracleFlowNetwork` is the straightforward fluid-flow model that
 :class:`repro.sim.flow.FlowNetwork` optimizes: per-flow Python
 integration (``remaining -= rate * dt`` one flow at a time) and a
-from-scratch batch :func:`~repro.sim.fairshare.max_min_fair_rates`
-solve, bottleneck attribution included, on *every* event — no slot
+from-scratch per-component :func:`reference_fill` solve, bottleneck
+attribution included, on *every* event — no slot
 arrays, no persistent solver, no trace replay, no epoch deferral.  The
 differential tests run identical workloads through both and compare
 every observable with ``==``.
 
+:func:`reference_fill` is a set-based progressive-filling loop written
+independently of the solver's core; the network oracle runs it on each
+:func:`reference_components` piece, and ``test_fairshare_core.py``
+checks the core against it with ``==``.
 :func:`max_min_fair_rates_reference` is the pre-decomposition global
-progressive-filling solve: one fill over the whole system, not per
-connected component.  It agrees with the batch solver to within
-floating-point accumulation order (not necessarily bitwise).
+solve: one fill over the whole system, not per connected component.  It
+agrees with the batch solver to within floating-point accumulation
+order (not necessarily bitwise).
 
-Both live here, outside the package, only as test oracles; the
+All live here, outside the package, only as test oracles; the
 simulator never uses them.
 """
 
@@ -28,15 +32,152 @@ from repro.errors import LinkDownError, SimulationError
 from repro.obs.metrics import metric_name
 from repro.obs.spans import SpanRecorder
 from repro.sim.engine import SimEngine
-from repro.sim.fairshare import (
-    FlowSpec,
-    _solve_component_python,
-    _validate_problem,
-    max_min_fair_rates,
-)
+from repro.sim.fairshare import FlowSpec, _validate_problem
 from repro.sim.flow import Flow
 
 _EPSILON_BYTES = 1e-6
+
+#: Relative slack for "channel is full" / "flow reached its cap".
+_CHANNEL_SLACK = 1e-6
+_CAP_SLACK = 1e-9
+
+
+def reference_fill(
+    flows: Sequence[FlowSpec],
+    capacities: Mapping[Hashable, float],
+    bottlenecks: "dict[Hashable, Hashable | None] | None" = None,
+    trace=None,
+) -> dict[Hashable, float]:
+    """Set-based progressive filling: the reference for the solver's core.
+
+    Every round re-derives each channel's active flows as ``group &
+    unfrozen`` and raises every unfrozen rate one by one; the
+    simulator's core keeps that state incrementally and must agree with
+    this loop bit for bit.
+
+    With ``bottlenecks`` (a dict to fill), each flow's freeze reason is
+    recorded as a side product: the first channel in the flow's channel
+    tuple that was full at its freeze iteration, or ``None`` when the
+    flow froze at its own cap.  With ``trace`` (any object with the
+    ``deltas``/``freeze_round``/``full_round``/``binding_channels``/
+    ``binding_caps`` fields of the solver's trace), the round structure
+    is recorded.  Attribution and tracing only *read* solver state, so
+    the returned rates are bit-identical either way.
+    """
+    rate: dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
+    unfrozen: set[Hashable] = set(rate)
+    flows_by_id = {f.flow_id: f for f in flows}
+
+    members: dict[Hashable, set[Hashable]] = {}
+    for flow in flows:
+        for channel in flow.channels:
+            members.setdefault(channel, set()).add(flow.flow_id)
+    residual: dict[Hashable, float] = {
+        channel: capacities[channel] for channel in members
+    }
+
+    # Each iteration freezes at least one flow, so the loop runs at
+    # most len(flows) times.
+    round_index = 0
+    while unfrozen:
+        delta = math.inf
+        for channel, group in members.items():
+            active = group & unfrozen
+            if active:
+                delta = min(delta, residual[channel] / len(active))
+        for flow_id in unfrozen:
+            flow = flows_by_id[flow_id]
+            if flow.cap is not math.inf:
+                delta = min(delta, flow.cap - rate[flow_id])
+
+        if delta is math.inf:
+            raise SimulationError(
+                "unconstrained flows (no channels and no cap): "
+                f"{sorted(map(repr, unfrozen))}"
+            )
+        delta = max(delta, 0.0)
+
+        if trace is not None:
+            binding_ch = []
+            for channel, group in members.items():
+                active = group & unfrozen
+                if active and residual[channel] / len(active) == delta:
+                    binding_ch.append(channel)
+            binding_cap = []
+            for flow_id in unfrozen:
+                flow = flows_by_id[flow_id]
+                if flow.cap is not math.inf and flow.cap - rate[flow_id] == delta:
+                    binding_cap.append(flow_id)
+            trace.deltas.append(delta)
+            trace.binding_channels.append(tuple(binding_ch))
+            trace.binding_caps.append(tuple(binding_cap))
+
+        for flow_id in unfrozen:
+            rate[flow_id] += delta
+        for channel, group in members.items():
+            active = group & unfrozen
+            if active:
+                residual[channel] -= delta * len(active)
+
+        frozen_now: set[Hashable] = set()
+        full: set[Hashable] = set()
+        for channel, group in members.items():
+            # An unbounded channel never saturates (inf <= slack * inf).
+            capacity = capacities[channel]
+            if capacity != math.inf and residual[channel] <= _CHANNEL_SLACK * capacity:
+                full.add(channel)
+                frozen_now |= group & unfrozen
+        if bottlenecks is not None:
+            for flow_id in frozen_now:
+                # A channel-frozen flow crosses at least one full channel;
+                # blame the first one in its route for determinism.
+                for channel in flows_by_id[flow_id].channels:
+                    if channel in full:
+                        bottlenecks[flow_id] = channel
+                        break
+        for flow_id in unfrozen:
+            flow = flows_by_id[flow_id]
+            if flow.cap is not math.inf and rate[flow_id] >= flow.cap - _CAP_SLACK * flow.cap:
+                if bottlenecks is not None and flow_id not in frozen_now:
+                    bottlenecks[flow_id] = None  # cap-bound, not channel-bound
+                rate[flow_id] = flow.cap
+                frozen_now.add(flow_id)
+        if not frozen_now:
+            raise SimulationError("progressive filling made no progress")
+        if trace is not None:
+            for channel in full:
+                trace.full_round.setdefault(channel, round_index)
+            for flow_id in frozen_now:
+                trace.freeze_round[flow_id] = round_index
+        unfrozen -= frozen_now
+        round_index += 1
+
+    return rate
+
+
+def reference_components(flows: Sequence[FlowSpec]) -> list[list[FlowSpec]]:
+    """Maximal sets of flows coupled transitively through shared channels."""
+    on_channel: dict[Hashable, list[FlowSpec]] = {}
+    for flow in flows:
+        for channel in flow.channels:
+            on_channel.setdefault(channel, []).append(flow)
+    seen: set[Hashable] = set()
+    components = []
+    for flow in flows:
+        if flow.flow_id in seen:
+            continue
+        seen.add(flow.flow_id)
+        component, stack = [], [flow]
+        while stack:
+            current = stack.pop()
+            component.append(current)
+            for channel in current.channels:
+                for other in on_channel[channel]:
+                    if other.flow_id not in seen:
+                        seen.add(other.flow_id)
+                        stack.append(other)
+        components.append(component)
+    return components
 
 
 def max_min_fair_rates_reference(
@@ -52,7 +193,7 @@ def max_min_fair_rates_reference(
     if not flows:
         return {}
     _validate_problem(flows, capacities)
-    return _solve_component_python(flows, capacities, bottlenecks)
+    return reference_fill(flows, capacities, bottlenecks)
 
 
 class OracleFlowNetwork:
@@ -164,7 +305,9 @@ class OracleFlowNetwork:
             for flow in active.values()
         ]
         bottlenecks: dict[Hashable, Hashable | None] = {}
-        rates = max_min_fair_rates(specs, self._capacities, bottlenecks)
+        rates: dict[Hashable, float] = {}
+        for component in reference_components(specs):
+            rates.update(reference_fill(component, self._capacities, bottlenecks))
         for flow_id, rate in rates.items():
             flow = active[flow_id]
             if rate <= 0:

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.engine import SimEngine
 from repro.sim.fairshare import (
+    FairshareSolver,
     FlowSpec,
     allocation_is_feasible,
     max_min_fair_rates,
 )
+from repro.sim.flow import Channel, FlowNetwork
+
+from .flow_oracle import reference_components, reference_fill
 
 
 class TestBasicAllocations:
@@ -79,6 +84,119 @@ class TestValidation:
     def test_unconstrained_flow(self):
         with pytest.raises(SimulationError):
             max_min_fair_rates([FlowSpec("f", ())], {})
+
+    def test_nan_cap_names_the_flow(self):
+        with pytest.raises(SimulationError, match="flow 'f' cap must be positive"):
+            FlowSpec("f", ("c",), cap=math.nan)
+
+    def test_nan_capacity_names_the_channel(self):
+        # Not the misleading "unconstrained flows" error of a NaN share.
+        flows = [FlowSpec("f", ("c",)), FlowSpec("g", ("c",))]
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            max_min_fair_rates(flows, {"c": math.nan})
+
+    def test_solver_rejects_nan_capacity(self):
+        solver = FairshareSolver()
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            solver.add_channel("c", math.nan)
+        solver.add_channel("c", 100.0)
+        solver.add_flow(FlowSpec("f", ("c",)))
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            solver.set_capacity("c", math.nan)
+        assert solver.capacities() == {"c": 100.0}
+        assert solver.rate("f") == 100.0
+
+    def test_channel_rejects_nan_capacity(self):
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            Channel("c", math.nan)
+        channel = Channel("c", 100.0)
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            channel.set_capacity(math.nan)
+        assert channel.capacity == 100.0
+
+    def test_network_rejects_nan_capacity(self):
+        net = FlowNetwork(SimEngine())
+        with pytest.raises(SimulationError, match="channel 'x' capacity"):
+            net.add_channel("x", math.nan)
+        net.add_channel("c", 100.0)
+        with pytest.raises(SimulationError, match="channel 'c' capacity"):
+            net.set_capacity("c", math.nan)
+        assert net.capacities() == {"c": 100.0}
+
+
+class TestUnboundedChannel:
+    """An infinite-capacity channel never saturates (``inf <= inf``)."""
+
+    CAPACITIES = {"unbounded": math.inf, "c1": 100.0}
+
+    def test_batch_blames_the_finite_channel(self):
+        flows = [
+            FlowSpec("A", ("unbounded", "c1")),
+            FlowSpec("B", ("c1",), cap=10.0),
+        ]
+        bottlenecks = {}
+        rates = max_min_fair_rates(flows, self.CAPACITIES, bottlenecks)
+        assert rates == {"A": 90.0, "B": 10.0}
+        assert bottlenecks == {"A": "c1", "B": None}
+
+    def test_lone_flow_blames_the_finite_channel(self):
+        bottlenecks = {}
+        flows = [FlowSpec("A", ("unbounded", "c1"))]
+        assert max_min_fair_rates(flows, self.CAPACITIES, bottlenecks) == {
+            "A": 100.0
+        }
+        assert bottlenecks == {"A": "c1"}
+
+    def test_solver_churn_matches_reference(self):
+        # Nine flows keep the component above the trace threshold, so
+        # churn goes through dirty-set replay and its saturation checks.
+        capacities = {"unbounded": math.inf, "a": 100.0, "b": 60.0}
+        solver = FairshareSolver(capacities, track_bottlenecks=True)
+        specs = [
+            FlowSpec(i, ("unbounded", "a"), cap=[math.inf, 5.0, 20.0][i % 3])
+            for i in range(9)
+        ]
+        ops = [("add", spec) for spec in specs]
+        ops += [
+            ("add", FlowSpec("wide", ("unbounded", "b"))),
+            ("add", FlowSpec("capped", ("unbounded",), cap=7.0)),
+            ("remove", 1),
+            ("remove", "wide"),
+            ("set_capacity", "a", 150.0),
+            ("remove", 0),
+        ]
+        for op in ops:
+            if op[0] == "add":
+                solver.add_flow(op[1])
+            elif op[0] == "remove":
+                solver.remove_flow(op[1])
+            else:
+                solver.set_capacity(op[1], op[2])
+            expected_b = {}
+            expected = {}
+            for component in reference_components(solver.flows()):
+                expected.update(
+                    reference_fill(component, solver.capacities(), expected_b)
+                )
+            assert solver.rates() == expected
+            assert solver.bottlenecks() == expected_b
+            assert "unbounded" not in solver.bottlenecks().values()
+        # Churn on the unbounded channel replays: it must not count as a
+        # saturation the recorded solve never saw.
+        assert solver.stats.dirty_relevels > 0
+
+    def test_completion_time_through_the_network(self):
+        # B (cap 10) and A share c1: A gets the other 90, not 10.  B
+        # finishes at 5 s; A then has 450 bytes left at 100 → 9.5 s.
+        engine = SimEngine()
+        net = FlowNetwork(engine)
+        net.add_channel("unbounded", math.inf)
+        net.add_channel("c1", 100.0)
+        a = net.transfer(["unbounded", "c1"], 900.0)
+        b = net.transfer(["c1"], 50.0, cap=10.0)
+        engine.run()
+        assert b.finish_time == 5.0
+        assert a.finish_time == 9.5
 
 
 @st.composite
