@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from ..config import SimEnvironment
+from ..context import resolve_default as resolve_default_topology
 from ..core.calibration import CalibrationProfile
 from ..core.experiment import ExperimentResult
 from ..core.sweep import COMM_SCOPE_H2D, COMM_SCOPE_P2P
@@ -21,7 +22,6 @@ from ..memory.placement import ExplicitNumaPolicy
 from ..runner import SimPoint, SweepRunner, execute_points
 from ..session import Session
 from ..topology.node import NodeTopology
-from ..topology.context import resolve_default as resolve_default_topology
 
 #: The four host-to-device interfaces of Fig. 2/3.
 H2D_INTERFACES = (

@@ -16,13 +16,13 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from ..config import SimEnvironment
+from ..context import resolve_default as resolve_default_topology
 from ..core.calibration import CalibrationProfile
 from ..core.experiment import ExperimentResult
 from ..errors import BenchmarkError
 from ..runner import SimPoint, SweepRunner, execute_points
 from ..session import Session
 from ..topology.node import NodeTopology
-from ..topology.context import resolve_default as resolve_default_topology
 from ..topology.routing import all_pairs_hops
 from ..units import MiB
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from ..context import resolve_default as resolve_default_topology
 from ..runner import SimPoint, SweepRunner, execute_points
 from ..topology.link import LinkTier
 from ..topology.node import NodeTopology
-from ..topology.context import resolve_default as resolve_default_topology
 from ..units import GiB, MiB, to_gbps, to_us
 from .calibration import CalibrationProfile, DEFAULT_CALIBRATION
 

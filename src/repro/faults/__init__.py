@@ -24,7 +24,10 @@ Scenario fingerprints fold into result-cache keys, so faulted and
 healthy runs of the same point never collide in the cache.
 """
 
-from .context import active, install
+from contextlib import contextmanager
+from typing import Iterator
+
+from ..context import use
 from .injector import FaultInjector, resolve_link
 from .retry import NO_RETRY, RetryPolicy
 from .scenario import (
@@ -37,6 +40,18 @@ from .scenario import (
     SdmaStall,
 )
 
+
+@contextmanager
+def install(scenario: "FaultScenario | None") -> Iterator["FaultScenario | None"]:
+    """Make ``scenario`` ambient for the block.
+
+    One :func:`repro.context.use` call: nests, restores on exit, and
+    installing ``None`` shields inner code from an outer scenario.
+    """
+    with use(faults=scenario):
+        yield scenario
+
+
 __all__ = [
     "FaultScenario",
     "FaultEvent",
@@ -48,7 +63,6 @@ __all__ = [
     "RetryPolicy",
     "NO_RETRY",
     "SCENARIO_SCHEMA",
-    "active",
     "install",
     "resolve_link",
 ]

@@ -8,9 +8,9 @@ tiers — the textual form of the paper's node diagram.
 
 from __future__ import annotations
 
+from ..context import resolve_default as resolve_default_topology
 from ..core.experiment import ExperimentResult
 from ..topology.link import LinkTier
-from ..topology.context import resolve_default as resolve_default_topology
 
 TITLE = "Multi-GPU node topology (Figure 1)"
 ARTIFACT = "Figure 1"

@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench_suites.stream import scaling_points, scaling_result
+from ..context import resolve_default as resolve_default_topology
 from ..core.bounds import cpu_gpu_peak_bidirectional
 from ..core.experiment import ExperimentResult
 from ..core.report import bar_table
 from ..core.sweep import MULTI_GPU_STREAM_BYTES, SCALING_GCD_COUNTS
 from ..runner import SimPoint
-from ..topology.context import resolve_default as resolve_default_topology
 
 TITLE = "CPU-GPU STREAM scaling, spread placement (Figure 5)"
 ARTIFACT = "Figure 5"

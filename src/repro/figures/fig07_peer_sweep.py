@@ -5,10 +5,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bench_suites.comm_scope import peer_points, peer_result
+from ..context import resolve_default as resolve_default_topology
 from ..core.experiment import ExperimentResult
 from ..core.report import peak_summary, series_table
 from ..runner import SimPoint
-from ..topology.context import resolve_default as resolve_default_topology
 
 TITLE = "hipMemcpyPeer bandwidth from GCD0 to adjacent GCDs (Figure 7)"
 ARTIFACT = "Figure 7"

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..context import resolve_default as resolve_default_topology
 from ..core.experiment import ExperimentResult
 from ..core.report import bar_table
 from ..runner import SimPoint
-from ..topology.context import resolve_default as resolve_default_topology
 from ..units import GiB
 
 TITLE = "Peak bidirectional direct-access bandwidth (Figure 9)"

@@ -17,9 +17,9 @@ import math
 import warnings
 from typing import Hashable, Iterable, Sequence
 
+from ..context import active, resolve_default
 from ..core.calibration import CalibrationProfile, DEFAULT_CALIBRATION
 from ..errors import TopologyError
-from ..obs.capture import active as active_capture
 from ..obs.metrics import MetricsRegistry, resolve_metrics
 from ..obs.spans import SpanRecorder, resolve_spans
 from ..sim.engine import SimEngine
@@ -50,24 +50,22 @@ class HardwareNode:
         spans: "SpanRecorder | bool | None" = None,
         faults: "object | None" = None,
     ) -> None:
-        # Topology: explicit argument wins; otherwise an ambient
-        # topology.context.install() (entered by `--topology FILE` runs
-        # and sweep workers) donates its file-defined topology, falling
-        # back to the paper's Fig. 1 node.
-        if topology is None:
-            from ..topology.context import active as active_topology
-
-            topology = active_topology()
-        self.topology = topology if topology is not None else frontier_node()
+        # Explicit arguments win; otherwise the ambient SimContext
+        # (entered by `--topology`/`--algorithm` runs, `repro inject`,
+        # `repro trace`/`--metrics` captures and sweep workers) donates
+        # its topology, fault scenario and observation, so measurement
+        # code that builds its own nodes adopts them without signature
+        # changes.  The topology falls back to the paper's Fig. 1 node.
+        context = active()
+        self.topology = resolve_default(
+            context.topology if topology is None else topology
+        )
         self.calibration = (
             calibration if calibration is not None else DEFAULT_CALIBRATION
         )
-        # Observation plumbing.  Explicit arguments win; otherwise an
-        # ambient obs.capture() context (installed by `repro trace` /
-        # `--metrics`) donates its shared registry, tracer, and span
-        # recorder, so measurement code that builds its own nodes gets
-        # observed without signature changes.
-        ambient = active_capture()
+        # Observation plumbing: an ambient capture donates its shared
+        # registry, tracer, and span recorder.
+        ambient = context.obs
         tracer: Tracer | None = None
         if metrics is None and ambient is not None:
             self.metrics = ambient.metrics
@@ -100,17 +98,11 @@ class HardwareNode:
         # shared by every node on an equal topology.
         self._compiled = self.topology.compiled()
 
-        # Fault injection.  Explicit argument wins; otherwise an ambient
-        # faults.install() context (entered by `repro inject` and by
-        # fault-sensitivity sweep workers) donates its scenario, so
-        # measurement code that builds its own nodes gets faulted
-        # without signature changes.
+        # Fault injection: explicit scenario, else the ambient one.
         self._failed_links: frozenset[str] = frozenset()
         self.faults = None
         if faults is None:
-            from ..faults.context import active as active_faults
-
-            faults = active_faults()
+            faults = context.faults
         if faults:
             from ..faults.injector import FaultInjector
 

@@ -33,7 +33,7 @@ from .attribution import (
     explain_spans,
     span_subtree,
 )
-from .capture import ObservationContext, active, capture
+from .capture import ObservationContext, capture
 from .experiment import trace_experiment
 from .metrics import (
     NULL_METRICS,
@@ -65,7 +65,6 @@ from .spans import (
 
 __all__ = [
     "ObservationContext",
-    "active",
     "capture",
     "trace_experiment",
     "NULL_METRICS",

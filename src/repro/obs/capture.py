@@ -20,28 +20,24 @@ from all sessions built inside the ``with`` block accumulate in one
 place.  Explicit arguments always win — a caller that asked for its
 own registry keeps it.
 
-The context is a :class:`contextvars.ContextVar` — isolated per
-thread (and asyncio task), so every concurrent ``repro serve`` session
-observes only its own simulations; single-threaded CLI runs behave
-exactly as a module global would.  Pool workers (separate processes)
-never see it, which is why
+The capture is the ``obs`` field of the ambient
+:class:`~repro.context.SimContext` — isolated per thread (and asyncio
+task), so every concurrent ``repro serve`` session observes only its
+own simulations.  It is never pickled, so pool workers (separate
+processes) never see it, which is why
 :func:`repro.runner.points.execute_point_observed` re-creates a
-context inside the worker instead.
+capture inside the worker instead.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterator
 
+from ..context import use
 from ..sim.trace import Tracer
 from .metrics import DEFAULT_SAMPLE_CAPACITY, MetricsRegistry
 from .spans import SpanRecorder
-
-_ACTIVE: "ContextVar[ObservationContext | None]" = ContextVar(
-    "repro_ambient_observation", default=None
-)
 
 
 class ObservationContext:
@@ -68,11 +64,6 @@ class ObservationContext:
         self.adoptions = 0
 
 
-def active() -> ObservationContext | None:
-    """The currently-installed context, or ``None``."""
-    return _ACTIVE.get()
-
-
 @contextmanager
 def capture(
     *,
@@ -85,9 +76,8 @@ def capture(
     """Install an ambient observation context for the ``with`` body.
 
     Nested captures stack: the innermost context wins, and the outer
-    one is restored on exit (also when the body raises — the ``finally``
-    below is what keeps pool workers from leaking a registry into the
-    next point).
+    one is restored on exit (also when the body raises — which is what
+    keeps pool workers from leaking a registry into the next point).
     """
     context = ObservationContext(
         metrics=metrics,
@@ -96,8 +86,5 @@ def capture(
         metrics_capacity=metrics_capacity,
         spans=spans,
     )
-    token = _ACTIVE.set(context)
-    try:
+    with use(obs=context):
         yield context
-    finally:
-        _ACTIVE.reset(token)

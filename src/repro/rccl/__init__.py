@@ -30,7 +30,6 @@ from .communicator import RcclCommunicator
 from .collectives import RCCL_COLLECTIVES
 from .algorithms import (
     RCCL_ALGORITHMS,
-    active_algorithm,
     check_algorithm,
     install_algorithm,
     select_algorithm,
@@ -45,7 +44,6 @@ __all__ = [
     "RcclCommunicator",
     "RCCL_COLLECTIVES",
     "RCCL_ALGORITHMS",
-    "active_algorithm",
     "check_algorithm",
     "install_algorithm",
     "select_algorithm",

@@ -19,18 +19,18 @@ topology.  The simulator mirrors that:
 - ``"auto"`` — :func:`select_algorithm`'s RCCL-style topology-aware
   choice by member count, link census and NIC presence.
 
-The ambient context (:func:`install_algorithm`/:func:`active_algorithm`)
-mirrors :mod:`repro.faults.context`: ``--algorithm`` sweeps install it
-per process so communicators built deep inside measurement functions
-adopt the selection without signature changes.
+:func:`install_algorithm` sets the ``algorithm`` field of the ambient
+:class:`~repro.context.SimContext`: ``--algorithm`` sweeps install it
+so communicators built deep inside measurement functions adopt the
+selection without signature changes.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterator, Sequence
 
+from ..context import use
 from ..errors import RcclError
 from ..topology.node import NodeTopology
 
@@ -51,34 +51,17 @@ def check_algorithm(name: str) -> str:
     raise RcclError(f"unknown collective algorithm {name!r} (known: {known})")
 
 
-# Per-thread (ContextVar) so concurrent serve sessions can steer
-# different algorithms without interfering; single-threaded runs see
-# plain module-global behavior.
-_ACTIVE: "ContextVar[str | None]" = ContextVar(
-    "repro_ambient_algorithm", default=None
-)
-
-
-def active_algorithm() -> "str | None":
-    """The ambient algorithm new communicators should adopt, if any."""
-    return _ACTIVE.get()
-
-
 @contextmanager
 def install_algorithm(name: "str | None") -> Iterator["str | None"]:
     """Make ``name`` the ambient default algorithm for the block.
 
-    Nests: the previous value (usually ``None``) is restored on exit.
-    Installing ``None`` explicitly shields inner code from an outer
-    context.
+    One :func:`repro.context.use` call: nests, restores on exit, and
+    installing ``None`` shields inner code from an outer context.
     """
     if name is not None:
         check_algorithm(name)
-    token = _ACTIVE.set(name)
-    try:
+    with use(algorithm=name):
         yield name
-    finally:
-        _ACTIVE.reset(token)
 
 
 def xgmi_islands(

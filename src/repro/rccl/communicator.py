@@ -12,6 +12,7 @@ import warnings
 from typing import Callable, Sequence
 
 from ..config import SimEnvironment
+from ..context import active
 from ..errors import RcclError
 from ..faults.retry import NO_RETRY, RetryPolicy
 from ..hardware.node import HardwareNode
@@ -51,10 +52,10 @@ class RcclCommunicator:
         # paper-faithful ring.  "auto" runs the RCCL-style selector at
         # init time, like RCCL's tuner fixing its pattern per
         # communicator.
-        from .algorithms import active_algorithm, check_algorithm, select_algorithm
+        from .algorithms import check_algorithm, select_algorithm
 
         if algorithm is None:
-            algorithm = active_algorithm()
+            algorithm = active().algorithm
         resolved = check_algorithm(algorithm) if algorithm is not None else "ring"
         if resolved == "auto":
             resolved = select_algorithm(self.node.topology, self.gcds)

@@ -26,7 +26,6 @@ from .points import (
     SimPoint,
     execute_point,
     execute_point_observed,
-    execute_point_with_faults,
     resolve_callable,
 )
 from .runner import RunnerStats, SweepRunner, resolve_jobs
@@ -58,7 +57,6 @@ __all__ = [
     "default_cache_dir",
     "execute_point",
     "execute_point_observed",
-    "execute_point_with_faults",
     "execute_points",
     "point_key",
     "resolve_callable",

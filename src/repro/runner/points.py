@@ -25,6 +25,7 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from ..context import SimContext, use
 from ..errors import BenchmarkError
 
 
@@ -124,48 +125,27 @@ def execute_point_spanned(
 
 
 def execute_point_in_context(
-    point: SimPoint,
-    scenario: Any = None,
-    topology: Any = None,
-    algorithm: Any = None,
-    mode: str = "plain",
+    point: SimPoint, context: SimContext, mode: str = "plain"
 ) -> Any:
-    """Run a point under ambient fault / topology / algorithm contexts.
+    """Run a point under a :class:`~repro.context.SimContext`.
 
-    ``scenario`` is a :class:`~repro.faults.FaultScenario`; ``topology``
-    a :class:`~repro.topology.node.NodeTopology` (e.g. loaded from a
-    ``--topology`` file) every node built inside the point adopts;
-    ``algorithm`` a collective-algorithm name every communicator built
-    inside the point adopts.  ``mode`` selects the capture wrapper:
+    The runner's one point trampoline.  ``context`` carries the
+    topology, fault scenario and collective algorithm every node and
+    communicator built inside the point adopts; it pickles to pool
+    workers as plain data (never with its observation capture, which
+    stays with the caller).  ``mode`` selects the capture wrapper:
     ``"plain"``, ``"metrics"`` or ``"spans"``, with the same return
-    shapes as the matching bare trampolines.  Module-level and driven
-    by :func:`functools.partial` so pool workers can unpickle it; the
-    contexts ride along as pickled data.
+    shapes as :func:`execute_point`, :func:`execute_point_observed` and
+    :func:`execute_point_spanned`.  Module-level and driven by
+    :func:`functools.partial` so pool workers can unpickle it.
     """
-    from contextlib import ExitStack
-
-    with ExitStack() as stack:
-        if scenario is not None:
-            from ..faults.context import install as install_faults
-
-            stack.enter_context(install_faults(scenario))
-        if topology is not None:
-            from ..topology.context import install as install_topology
-
-            stack.enter_context(install_topology(topology))
-        if algorithm is not None:
-            from ..rccl.algorithms import install_algorithm
-
-            stack.enter_context(install_algorithm(algorithm))
+    with use(
+        topology=context.topology,
+        faults=context.faults,
+        algorithm=context.algorithm,
+    ):
         if mode == "spans":
             return execute_point_spanned(point)
         if mode == "metrics":
             return execute_point_observed(point)
         return execute_point(point)
-
-
-def execute_point_with_faults(
-    point: SimPoint, scenario: Any = None, mode: str = "plain"
-) -> Any:
-    """Back-compat alias: faults-only contextual execution."""
-    return execute_point_in_context(point, scenario=scenario, mode=mode)

@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Mapping, Sequence
 
+from ..context import SimContext, active, use
 from .cache import ResultCache
-from .points import (
-    SimPoint,
-    execute_point,
-    execute_point_in_context,
-    execute_point_observed,
-    execute_point_spanned,
-    execute_point_with_faults,
-)
+
+# Both trampolines stay module globals looked up at call time, so a
+# profiler can wrap them here by name.
+from .points import SimPoint, execute_point, execute_point_in_context
 
 
 def available_cpus() -> int:
@@ -148,6 +146,13 @@ class SweepRunner:
         :data:`~repro.rccl.algorithms.RCCL_ALGORITHMS`, or ``"auto"``)
         every communicator built inside the sweep adopts; folded into
         the cache key as a plain string.
+
+    Each run executes under one :class:`~repro.context.SimContext`:
+    these keywords over the caller's :func:`~repro.context.active`
+    context.  That one context supplies the cache-key suffix, the
+    install around decomposition and merge, and the payload shipped
+    to pool workers, so a context installed around the runner keys and
+    reaches workers exactly like the matching keyword.
     """
 
     def __init__(
@@ -225,9 +230,10 @@ class SweepRunner:
         outputs: list[Any] = [None] * len(points)
         keys: list[str | None] = [None] * len(points)
         pending: list[int] = []
+        context = self._context()
         for index, point in enumerate(points):
             key = (
-                self.cache.key_for(self._keyed_point(point))
+                self.cache.key_for(self._keyed_point(point, context))
                 if self.cache is not None
                 else None
             )
@@ -239,7 +245,7 @@ class SweepRunner:
                     continue
             pending.append(index)
         if pending:
-            fresh = self._execute([points[i] for i in pending])
+            fresh = self._execute([points[i] for i in pending], context)
             for index, value in zip(pending, fresh):
                 outputs[index] = value
                 if self.cache is not None and keys[index] is not None:
@@ -255,23 +261,31 @@ class SweepRunner:
         self.stats.wall_seconds += time.perf_counter() - started
         return outputs
 
-    def _keyed_point(self, point: SimPoint) -> SimPoint:
-        """The point as cached: params plus the ambient-context keys.
+    def _overrides(self) -> dict[str, Any]:
+        """The context keywords this runner was given."""
+        fields = (
+            ("topology", self.topology),
+            ("faults", self.faults),
+            ("algorithm", self.algorithm),
+        )
+        return {name: value for name, value in fields if value is not None}
 
-        The fault scenario, topology and algorithm are appended to
-        ``params`` for *keying only* (the executed point is untouched —
-        the contexts reach the measurement via ambient installs, not
-        kwargs); ``canonical_token`` folds scenario and topology in
-        through their ``fingerprint()``, so a topology loaded from a
-        file keys identically to the fingerprint-equal code preset.
+    def _context(self) -> SimContext:
+        """This run's context: the keywords over :func:`active`."""
+        return replace(active(), **self._overrides())
+
+    def _keyed_point(
+        self, point: SimPoint, context: SimContext | None = None
+    ) -> SimPoint:
+        """The point as cached: params plus the context's key params.
+
+        The pseudo-params are appended for *keying only* (the executed
+        point is untouched — the context reaches the measurement via
+        the ambient install, not kwargs).
         """
-        extra: tuple[tuple[str, Any], ...] = ()
-        if self.faults is not None:
-            extra += (("__faults__", self.faults),)
-        if self.topology is not None:
-            extra += (("__topology__", self.topology),)
-        if self.algorithm is not None:
-            extra += (("__algorithm__", self.algorithm),)
+        if context is None:
+            context = self._context()
+        extra = context.key_params()
         if not extra:
             return point
         return SimPoint(
@@ -281,32 +295,13 @@ class SweepRunner:
             point.params + extra,
         )
 
-    def _execute(self, points: list[SimPoint]) -> list[Any]:
-        if self.capture_spans:
-            trampoline = execute_point_spanned
-        elif self.capture_metrics:
-            trampoline = execute_point_observed
-        else:
-            trampoline = execute_point
-        if (
-            self.faults is not None
-            or self.topology is not None
-            or self.algorithm is not None
-        ):
-            from functools import partial
-
-            mode = (
-                "spans"
-                if self.capture_spans
-                else "metrics" if self.capture_metrics else "plain"
-            )
-            trampoline = partial(
-                execute_point_in_context,
-                scenario=self.faults,
-                topology=self.topology,
-                algorithm=self.algorithm,
-                mode=mode,
-            )
+    def _execute(self, points: list[SimPoint], context: SimContext) -> list[Any]:
+        mode = (
+            "spans"
+            if self.capture_spans
+            else "metrics" if self.capture_metrics else "plain"
+        )
+        trampoline = partial(execute_point_in_context, context=context, mode=mode)
         if self.jobs > 1 and len(points) > 1:
             try:
                 results = self._execute_parallel(points, trampoline)
@@ -337,7 +332,7 @@ class SweepRunner:
         return values
 
     def _execute_parallel(
-        self, points: list[SimPoint], trampoline: Any = execute_point
+        self, points: list[SimPoint], trampoline: Any
     ) -> list[Any]:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -369,34 +364,13 @@ class SweepRunner:
 
     # -- experiment-level API -------------------------------------------
 
-    def _ambient(self):
-        """Parent-process ambient installs for topology/algorithm.
-
-        Point execution re-installs the contexts inside each worker,
-        but point *decomposition* and output *merging* run in the
-        parent; any node they build (e.g. a figure driver probing the
-        topology while laying out its grid) must see the same ambient
-        state the workers do.
-        """
-        from contextlib import ExitStack
-
-        stack = ExitStack()
-        if self.topology is not None:
-            from ..topology.context import install as install_topology
-
-            stack.enter_context(install_topology(self.topology))
-        if self.algorithm is not None:
-            from ..rccl.algorithms import install_algorithm
-
-            stack.enter_context(install_algorithm(self.algorithm))
-        return stack
-
     def run_experiment(self, experiment_id: str, **params: Any):
         """Run one artifact through its sweep decomposition."""
         from .. import figures
 
         started = time.perf_counter()
-        with self._ambient():
+        # Decomposition and merge see the same context as the points.
+        with use(**self._overrides()):
             points = figures.sweep_points(experiment_id, **params)
             outputs = self.run_points(points)
             result = figures.merge_outputs(
@@ -420,7 +394,7 @@ class SweepRunner:
 
         started = time.perf_counter()
         ids = list(dict.fromkeys(experiment_ids))
-        with self._ambient():
+        with use(**self._overrides()):
             decompositions = {
                 eid: figures.sweep_points(eid, **params) for eid in ids
             }

@@ -13,8 +13,8 @@ Jobs execute in *threads*, not processes: each executes through its
 own :class:`~repro.runner.SweepRunner` against the shared
 content-addressed result store, so concurrent identical queries
 deduplicate at the cache and the working set stays warm across
-tenants.  The ambient simulation contexts (topology, faults,
-algorithm, observation) are ``contextvars`` — per-thread — so
+tenants.  The ambient :class:`~repro.context.SimContext` (topology,
+faults, algorithm, observation) is a ``ContextVar`` — per thread — so
 concurrent sessions cannot leak configuration into each other.
 """
 

@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..context import SimContext
 from ..errors import BenchmarkError
 from ..obs.metrics import MetricsRegistry
 from ..runner import ResultCache, SweepRunner
@@ -289,8 +290,9 @@ class SimService:
           validation battery on the scenario's topology+calibration.
         - ``{"artifact": ID, "topology"/"algorithm": ...}`` answers
           "what does this measurement look like on that fabric /
-          collective algorithm?" by running the artifact under ambient
-          overrides.
+          collective algorithm?" by running the artifact under a
+          :class:`~repro.context.SimContext`; the job carries
+          ``(artifact, params, context)``.
         """
         from .. import figures
         from ..core.whatif import SCENARIOS
@@ -328,12 +330,13 @@ class SimService:
                     "artifact sweeps pin)"
                 )
             topology = payload.get("topology")
+            resolved_topology = None
             if topology is not None:
                 from ..errors import ConfigurationError, TopologyError
                 from ..session import resolve_topology
 
                 try:
-                    resolve_topology(topology)
+                    resolved_topology = resolve_topology(topology)
                 except (OSError, ConfigurationError, TopologyError, ValueError) as exc:
                     raise BadRequestError(f"bad topology: {exc}") from None
             algorithm = payload.get("algorithm")
@@ -351,28 +354,33 @@ class SimService:
             request.update(
                 {
                     "artifact": resolved,
-                    "topology": topology,
-                    "algorithm": algorithm,
                     "params": dict(params),
+                    "context": SimContext(
+                        topology=resolved_topology, algorithm=algorithm
+                    ),
+                    # The request's own spellings, echoed in the result.
+                    "echo": {"topology": topology, "algorithm": algorithm},
                 }
             )
         return request
 
     # -- execution ------------------------------------------------------
 
-    def _runner(self, *, topology: Any = None, algorithm: Any = None) -> SweepRunner:
+    def _runner(self, context: SimContext = SimContext()) -> SweepRunner:
         """A fresh per-job runner over the *shared* result store.
 
         Each job gets its own :class:`ResultCache` object pointing at
         the one shared directory: the store (and therefore cross-client
         dedup) is shared, while hit/miss accounting stays per job.
+        ``context`` is a what-if job's context.
         """
         return SweepRunner(
             self.config.runner_jobs,
             use_cache=self.config.use_cache,
             cache_dir=self.config.cache_dir,
-            topology=topology,
-            algorithm=algorithm,
+            faults=context.faults,
+            topology=context.topology,
+            algorithm=context.algorithm,
         )
 
     def _execute(self, job: Job) -> Any:
@@ -444,22 +452,12 @@ class SimService:
                 "validation": report.as_dict(),
                 "runner": runner.stats.as_dict(),
             }
-        from ..session import resolve_topology
-
-        topology = (
-            resolve_topology(request["topology"])
-            if request["topology"] is not None
-            else None
-        )
-        runner = self._runner(
-            topology=topology, algorithm=request["algorithm"]
-        )
+        runner = self._runner(request["context"])
         result = runner.run_experiment(
             request["artifact"], **request["params"]
         )
         payload = self._run_payload(request["artifact"], result, runner)
-        payload["topology"] = request["topology"]
-        payload["algorithm"] = request["algorithm"]
+        payload.update(request["echo"])
         return payload
 
     @staticmethod

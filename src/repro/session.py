@@ -34,6 +34,7 @@ from typing import Any, Callable, Generator, Sequence
 
 from .config import SimEnvironment
 from .configs import ObsConfig, RunnerConfig
+from .context import resolve_default
 from .core.calibration import CalibrationProfile
 from .errors import ConfigurationError
 from .hardware.node import HardwareNode
@@ -82,14 +83,11 @@ def resolve_topology(topology: "str | NodeTopology | None") -> NodeTopology:
     path to a ``repro-topology/1`` file (anything ending in
     ``.json``/``.yaml``/``.yml`` or containing a path separator), an
     already-built :class:`NodeTopology`, or ``None`` — which adopts an
-    ambient :func:`repro.topology.context.install` topology when one is
+    ambient :func:`repro.topology.install_topology` topology when one is
     active and otherwise builds the paper's Fig. 1 node.
     """
     if topology is None:
-        from .topology.context import active as active_topology
-
-        ambient = active_topology()
-        return ambient if ambient is not None else frontier_node()
+        return resolve_default()
     if isinstance(topology, NodeTopology):
         return topology
     if isinstance(topology, str):

@@ -15,6 +15,10 @@ Public entry points:
   paper contrasts: shortest-path and bandwidth-maximizing.
 """
 
+from contextlib import contextmanager
+from typing import Iterator
+
+from ..context import use
 from .link import (
     Link,
     LinkTier,
@@ -47,7 +51,18 @@ from .schema import (
     topology_from_json,
     topology_to_json,
 )
-from .context import active as active_topology, install as install_topology
+
+
+@contextmanager
+def install_topology(topology: "NodeTopology | None") -> Iterator["NodeTopology | None"]:
+    """Make ``topology`` the ambient default for the block.
+
+    One :func:`repro.context.use` call: nests, restores on exit, and
+    installing ``None`` shields inner code from an outer topology.
+    """
+    with use(topology=topology):
+        yield topology
+
 
 __all__ = [
     "Link",
@@ -77,6 +92,5 @@ __all__ = [
     "topology_from_json",
     "topology_to_json",
     "export_preset_files",
-    "active_topology",
     "install_topology",
 ]

@@ -25,9 +25,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ..context import resolve_default as resolve_default_topology
 from ..core.calibration import CalibrationProfile, DEFAULT_CALIBRATION
 from ..errors import CalibrationError, TelemetryError
-from ..topology.context import resolve_default as resolve_default_topology
 from ..topology.node import NodeTopology
 from .replay import predicted_duration, record_point
 from .schema import TelemetryRecord, TelemetryStream

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from ..context import resolve_default as resolve_default_topology
 from ..core.calibration import CalibrationProfile, DEFAULT_CALIBRATION
 from ..errors import TelemetryError
 from ..obs.metrics import MetricsRegistry, metric_name, resolve_metrics
 from ..runner import SimPoint, SweepRunner
-from ..topology.context import resolve_default as resolve_default_topology
 from ..topology.node import NodeTopology
 from ..topology.routing import route_between
 from .schema import (

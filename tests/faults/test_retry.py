@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultScenario, LinkFail, RetryPolicy
-from repro.faults.context import active, install
+from repro.context import active
+from repro.faults import install
 from repro.faults.retry import NO_RETRY
 
 
@@ -38,33 +39,33 @@ class TestRetryPolicy:
 
 class TestAmbientContext:
     def test_default_is_none(self):
-        assert active() is None
+        assert active().faults is None
 
     def test_install_and_restore(self):
         scenario = FaultScenario(events=(LinkFail(link="1-3", at=0.0),))
         with install(scenario) as installed:
             assert installed is scenario
-            assert active() is scenario
-        assert active() is None
+            assert active().faults is scenario
+        assert active().faults is None
 
     def test_nesting_restores_outer(self):
         outer = FaultScenario(events=(LinkFail(link="1-3", at=0.0),))
         inner = FaultScenario(events=(LinkFail(link="0-1", at=0.0),))
         with install(outer):
             with install(inner):
-                assert active() is inner
-            assert active() is outer
+                assert active().faults is inner
+            assert active().faults is outer
 
     def test_installing_none_shields_inner_code(self):
         scenario = FaultScenario(events=(LinkFail(link="1-3", at=0.0),))
         with install(scenario):
             with install(None):
-                assert active() is None
-            assert active() is scenario
+                assert active().faults is None
+            assert active().faults is scenario
 
     def test_restores_on_exception(self):
         scenario = FaultScenario(events=(LinkFail(link="1-3", at=0.0),))
         with pytest.raises(RuntimeError):
             with install(scenario):
                 raise RuntimeError("boom")
-        assert active() is None
+        assert active().faults is None

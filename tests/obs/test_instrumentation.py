@@ -84,47 +84,47 @@ class TestAmbientCapture:
         assert own.node.metrics.enabled
 
     def test_context_restored_after_exit(self):
-        from repro.obs import active
+        from repro.context import active
 
-        assert active() is None
+        assert active().obs is None
         with capture():
-            assert active() is not None
-        assert active() is None
+            assert active().obs is not None
+        assert active().obs is None
 
     def test_nested_captures_stack_innermost_wins(self):
-        from repro.obs import active
+        from repro.context import active
 
         with capture() as outer:
-            assert active() is outer
+            assert active().obs is outer
             with capture() as inner:
-                assert active() is inner
+                assert active().obs is inner
                 assert inner is not outer
-            assert active() is outer
-        assert active() is None
+            assert active().obs is outer
+        assert active().obs is None
 
     def test_context_restored_when_body_raises(self):
-        from repro.obs import active
+        from repro.context import active
 
         with pytest.raises(RuntimeError, match="boom"):
             with capture():
                 raise RuntimeError("boom")
-        assert active() is None
+        assert active().obs is None
 
     def test_outer_context_restored_when_inner_body_raises(self):
-        from repro.obs import active
+        from repro.context import active
 
         with capture() as outer:
             with pytest.raises(ValueError):
                 with capture():
                     raise ValueError("inner")
-            assert active() is outer
-        assert active() is None
+            assert active().obs is outer
+        assert active().obs is None
 
     def test_pool_worker_trampolines_leak_no_registry(self):
         # execute_point_observed / execute_point_spanned run inside
         # pool workers; each must install and fully tear down its own
         # ambient context so the next point starts clean.
-        from repro.obs import active
+        from repro.context import active
         from repro.runner import SimPoint
         from repro.runner.points import (
             execute_point_observed,
@@ -139,11 +139,11 @@ class TestAmbientCapture:
             interface="pinned_memcpy",
             size=1 * MiB,
         )
-        assert active() is None
+        assert active().obs is None
         value, snapshot = execute_point_observed(point)
-        assert active() is None
+        assert active().obs is None
         value2, snapshot2, spans = execute_point_spanned(point)
-        assert active() is None
+        assert active().obs is None
         assert value == value2
         assert snapshot["channels"]
         # Two consecutive points must not share a registry: byte

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.context import active
 from repro.errors import RcclError
 from repro.rccl import (
     RCCL_ALGORITHMS,
-    active_algorithm,
     check_algorithm,
     install_algorithm,
     select_algorithm,
@@ -39,13 +39,13 @@ class TestRegistry:
 
 class TestAmbientContext:
     def test_install_and_restore(self):
-        assert active_algorithm() is None
+        assert active().algorithm is None
         with install_algorithm("tree"):
-            assert active_algorithm() == "tree"
+            assert active().algorithm == "tree"
             with install_algorithm(None):
-                assert active_algorithm() is None
-            assert active_algorithm() == "tree"
-        assert active_algorithm() is None
+                assert active().algorithm is None
+            assert active().algorithm == "tree"
+        assert active().algorithm is None
 
     def test_install_validates(self):
         with pytest.raises(RcclError):

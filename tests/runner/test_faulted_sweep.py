@@ -61,10 +61,10 @@ class TestFaultedExecution:
         assert parallel == serial
 
     def test_runner_leaves_no_ambient_scenario_behind(self):
-        from repro.faults.context import active
+        from repro.context import active
 
         SweepRunner(use_cache=False, faults=DEGRADE).run_points(_points())
-        assert active() is None
+        assert active().faults is None
 
 
 class TestFaultedCacheKeys:
