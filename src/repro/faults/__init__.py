@@ -24,10 +24,7 @@ Scenario fingerprints fold into result-cache keys, so faulted and
 healthy runs of the same point never collide in the cache.
 """
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from ..context import use
+from .context import install
 from .injector import FaultInjector, resolve_link
 from .retry import NO_RETRY, RetryPolicy
 from .scenario import (
@@ -39,17 +36,6 @@ from .scenario import (
     PageMigrationStorm,
     SdmaStall,
 )
-
-
-@contextmanager
-def install(scenario: "FaultScenario | None") -> Iterator["FaultScenario | None"]:
-    """Make ``scenario`` ambient for the block.
-
-    One :func:`repro.context.use` call: nests, restores on exit, and
-    installing ``None`` shields inner code from an outer scenario.
-    """
-    with use(faults=scenario):
-        yield scenario
 
 
 __all__ = [

@@ -1,49 +1,30 @@
-"""Ambient fault-scenario context.
+"""The fault-scenario spelling of the ambient simulation context.
 
-Mirrors :mod:`repro.obs.capture`: a module-level slot holds the
-scenario to inject, and :class:`~repro.hardware.node.HardwareNode`
-adopts it when no explicit ``faults=`` argument was given.  This is
-what lets ``repro inject`` and fault-sensitivity sweeps reach the
-sessions that measurement functions build *internally* (fig06's P2P
-matrix, fig11's per-collective sessions) without threading a parameter
-through every signature.
-
-The context is a :class:`contextvars.ContextVar`, isolated per thread
-(and asyncio task) so concurrent ``repro serve`` sessions can inject
-different scenarios side by side.  Sweep workers (separate processes)
-re-install it via
-:func:`repro.runner.points.execute_point_with_faults`, so parallel
-faulted sweeps behave identically to serial ones.
+:func:`install` is how ``repro inject`` and fault-sensitivity sweeps
+make a scenario reach the nodes that measurement functions build
+*internally*, without threading a ``faults=`` parameter through every
+signature.  It holds no state of its own: the scenario lives in the
+one :class:`~repro.context.SimContext`, which keys the cache, ships to
+pool workers and isolates threads for all ambient settings alike.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .scenario import FaultScenario
+from ..context import use
 
-_ACTIVE: "ContextVar[FaultScenario | None]" = ContextVar(
-    "repro_ambient_faults", default=None
-)
-
-
-def active() -> "FaultScenario | None":
-    """The ambient scenario new nodes should inject, if any."""
-    return _ACTIVE.get()
+if TYPE_CHECKING:
+    from .scenario import FaultScenario
 
 
 @contextmanager
 def install(scenario: "FaultScenario | None") -> Iterator["FaultScenario | None"]:
-    """Make ``scenario`` ambient for the duration of the block.
+    """Make ``scenario`` ambient for the block.
 
-    Nests: the previous scenario (usually ``None``) is restored on
-    exit.  Installing ``None`` explicitly shields inner code from an
-    outer scenario.
+    One :func:`repro.context.use` call: nests, restores on exit, and
+    installing ``None`` shields inner code from an outer scenario.
     """
-    token = _ACTIVE.set(scenario)
-    try:
+    with use(faults=scenario):
         yield scenario
-    finally:
-        _ACTIVE.reset(token)

@@ -15,10 +15,7 @@ Public entry points:
   paper contrasts: shortest-path and bandwidth-maximizing.
 """
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from ..context import use
+from .context import install_topology
 from .link import (
     Link,
     LinkTier,
@@ -51,17 +48,6 @@ from .schema import (
     topology_from_json,
     topology_to_json,
 )
-
-
-@contextmanager
-def install_topology(topology: "NodeTopology | None") -> Iterator["NodeTopology | None"]:
-    """Make ``topology`` the ambient default for the block.
-
-    One :func:`repro.context.use` call: nests, restores on exit, and
-    installing ``None`` shields inner code from an outer topology.
-    """
-    with use(topology=topology):
-        yield topology
 
 
 __all__ = [

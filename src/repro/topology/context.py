@@ -1,70 +1,31 @@
-"""Ambient default-topology context.
+"""The topology spelling of the ambient simulation context.
 
-Mirrors :mod:`repro.faults.context`: a module-level slot holds the
-topology sessions should build on when no explicit ``topology=``
-argument was given.  This is what lets ``repro run fig11 --topology
-mi250x_node.json`` reach the sessions that measurement functions build
-*internally* (fig06's P2P matrix, fig11's per-collective sessions)
-without threading a parameter through every signature.
-
-The context is a :class:`contextvars.ContextVar`, so it is isolated
-per thread (and per asyncio task): every ``repro serve`` job thread
-can run under its own topology without clobbering its neighbours,
-while single-threaded CLI runs behave exactly as a module global
-would.  Sweep workers (separate *processes*) re-install it via
-:func:`repro.runner.points.execute_point_in_context`, so parallel
-sweeps over a file-defined topology behave identically to serial ones;
-the topology's fingerprint is folded into each point's cache key by
-:class:`~repro.runner.SweepRunner`.
+:func:`install_topology` is how callers make a topology the default
+for sessions that measurement functions build *internally* (fig06's
+P2P matrix, fig11's per-collective sessions) — this is what ``repro
+run fig11 --topology mi250x_node.json`` uses.  It holds no state of its
+own: the topology lives in the one :class:`~repro.context.SimContext`,
+which keys the cache, ships to pool workers and isolates threads for
+all ambient settings alike.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .node import NodeTopology
+from ..context import use
 
-_ACTIVE: "ContextVar[NodeTopology | None]" = ContextVar(
-    "repro_ambient_topology", default=None
-)
-
-
-def active() -> "NodeTopology | None":
-    """The ambient topology new sessions should build on, if any."""
-    return _ACTIVE.get()
+if TYPE_CHECKING:
+    from .node import NodeTopology
 
 
 @contextmanager
-def install(topology: "NodeTopology | None") -> Iterator["NodeTopology | None"]:
-    """Make ``topology`` the ambient default for the duration of the block.
+def install_topology(topology: "NodeTopology | None") -> Iterator["NodeTopology | None"]:
+    """Make ``topology`` the ambient default for the block.
 
-    Nests: the previous topology (usually ``None``) is restored on
-    exit.  Installing ``None`` explicitly shields inner code from an
-    outer context.
+    One :func:`repro.context.use` call: nests, restores on exit, and
+    installing ``None`` shields inner code from an outer topology.
     """
-    token = _ACTIVE.set(topology)
-    try:
+    with use(topology=topology):
         yield topology
-    finally:
-        _ACTIVE.reset(token)
-
-
-def resolve_default(topology: "NodeTopology | None" = None) -> NodeTopology:
-    """``topology`` if given, else the ambient one, else the Fig. 1 node.
-
-    The standard default-resolution used by measurement functions and
-    figure drivers: an explicit argument always wins, an installed
-    ambient topology (``--topology`` runs) comes next, and the paper's
-    MI250X node is the fallback — so every paper artifact is unchanged
-    unless a topology was asked for.
-    """
-    if topology is not None:
-        return topology
-    ambient = _ACTIVE.get()
-    if ambient is not None:
-        return ambient
-    from .presets import frontier_node
-
-    return frontier_node()

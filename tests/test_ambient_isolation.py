@@ -14,9 +14,11 @@ import sys
 import threading
 
 from repro.context import SimContext, active, use
+from repro.faults import install as install_faults
 from repro.faults.scenario import FaultScenario, LinkDegrade
 from repro.hardware.node import HardwareNode
 from repro.obs.capture import ObservationContext, capture
+from repro.rccl.algorithms import install_algorithm
 from repro.rccl.communicator import RcclCommunicator
 from repro.runner import SimPoint, SweepRunner
 from repro.topology import install_topology
@@ -96,6 +98,19 @@ class TestSimContextIsolation:
 
 
 class TestTopologyContextIsolation:
+    def test_threads_see_their_own_install(self):
+        choices = (frontier_node(), dense_hive_node(), None)
+
+        def worker(index, barrier):
+            mine = choices[index % len(choices)]
+            barrier.wait(timeout=30)
+            for _ in range(ROUNDS):
+                with install_topology(mine):
+                    assert active().topology is mine
+
+        _hammer(worker)
+        assert active().topology is None  # main thread untouched
+
     def test_nesting_still_restores(self):
         outer, inner = frontier_node(), dense_hive_node()
         with install_topology(outer) as installed:
@@ -110,7 +125,54 @@ class TestTopologyContextIsolation:
         assert active().topology is None
 
 
+class TestAlgorithmContextIsolation:
+    def test_threads_see_their_own_algorithm(self):
+        choices = ALGORITHMS + (None,)
+
+        def worker(index, barrier):
+            mine = choices[index % len(choices)]
+            barrier.wait(timeout=30)
+            for _ in range(ROUNDS):
+                if mine is None:
+                    assert active().algorithm is None
+                else:
+                    with install_algorithm(mine):
+                        assert active().algorithm == mine
+
+        _hammer(worker)
+        assert active().algorithm is None
+
+
+class TestFaultContextIsolation:
+    def test_threads_see_their_own_scenario(self):
+        scenarios = [_scenario(i) for i in range(THREADS)]
+
+        def worker(index, barrier):
+            mine = scenarios[index]
+            barrier.wait(timeout=30)
+            for _ in range(ROUNDS):
+                with install_faults(mine):
+                    assert active().faults is mine
+
+        _hammer(worker)
+        assert active().faults is None
+
+
 class TestObservationContextIsolation:
+    def test_threads_capture_independently(self):
+        def worker(index, barrier):
+            barrier.wait(timeout=30)
+            for _ in range(ROUNDS):
+                with capture() as ctx:
+                    assert active().obs is ctx
+                    ctx.metrics.counter(f"iso/thread{index}").inc()
+                snapshot = ctx.metrics.snapshot()
+                counters = snapshot["counters"]
+                assert counters == {f"iso/thread{index}": 1}
+
+        _hammer(worker)
+        assert active().obs is None
+
     def test_capture_restores_previous_context(self):
         with capture() as outer:
             with capture() as inner:
