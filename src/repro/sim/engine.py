@@ -148,8 +148,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "SimEngine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SchedulingError(f"negative timeout {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"timeout must be non-negative, got {delay!r}")
         super().__init__(engine)
         self.delay = delay
         self._triggered = True
@@ -428,8 +428,8 @@ class SimEngine:
         to) the engine's free-list.  Use :meth:`schedule` when the
         callback may need cancelling.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"delay must be non-negative, got {delay!r}")
         pool = self._timer_pool
         if pool:
             timer = pool.pop()
@@ -448,8 +448,8 @@ class SimEngine:
         Handles are never pooled (a caller may keep one arbitrarily
         long), so cancellation can't alias a recycled record.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"delay must be non-negative, got {delay!r}")
         timer = TimerHandle(callback, args, pooled=False)
         self._enqueue(self._now + delay, timer)
         return timer
@@ -457,8 +457,8 @@ class SimEngine:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule_delivery(self, event: Event, *, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"delay must be non-negative, got {delay!r}")
         self._enqueue(self._now + delay, event)
 
     # -- execution -------------------------------------------------------------

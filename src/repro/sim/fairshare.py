@@ -35,11 +35,24 @@ The per-component core, :func:`_fill`, is one scalar loop for every
 component size, and dirty-set replay resumes the same loop mid-solve.
 It gives channels dense local ids and keeps per-channel counts of
 unfrozen flows incrementally; since all unfrozen flows share one fill
-level, a single running sum stands in for their rates, and channels
-their members' caps can never fill are left out of the rounds.  A lone
-flow takes a closed-form fast path.  ``tests/sim/flow_oracle.py``
-holds an independent set-based reference loop the core must match
-bitwise.
+level, a single running sum stands in for their rates.  A lone flow
+takes a closed-form fast path.  ``tests/sim/flow_oracle.py`` holds an
+independent set-based reference loop the core must match bitwise.
+
+Channels that can never bind are left out of every fill.  One
+predicate, :func:`_may_bind`, decides it: a channel with an uncapped
+member may bind, and so may one whose capacity minus the sum of its
+members' caps is not more than twice the saturation slack.  The batch
+solve computes the predicate per component; :class:`FairshareSolver`
+holds each channel's member-cap sum and uncapped count, updates them
+on ``add_flow``, ``remove_flow`` and ``set_capacity``, and keeps the
+resulting *bindable* set, so a fill (fresh, resumed or continued)
+indexes only bindable channels.  Replay skips the fold and the
+undercut and saturation checks for a dirty channel that is not
+bindable now and never filled in the recorded solve; such a channel
+still voids the round certificates it gave.  The solver takes any
+hashable channel ids; :class:`~repro.sim.flow.FlowNetwork` hands it
+dense ints, so solves hash ints rather than tuples.
 
 The batch function is pure (no engine state), which lets the test
 suite verify its invariants exhaustively with hypothesis:
@@ -157,9 +170,48 @@ def _saturation_level(capacity: float) -> float:
     return _CHANNEL_SLACK * capacity
 
 
+def _may_bind(capacity: float, cap_sum: float, uncapped: int) -> bool:
+    """Whether a channel can ever fill or bind (the pruning predicate).
+
+    ``cap_sum`` is the sum of the caps of the channel's capped members
+    and ``uncapped`` the number of its uncapped ones.  When the caps
+    leave more than twice the saturation slack of the capacity unused,
+    the residual stays above the slack and the fair share above the
+    smallest member headroom (so above every round's delta) from level
+    0 at full capacity, and hence from every later state of the fill
+    too: leaving such a channel out of the rounds changes no result
+    bit.  An uncapped member makes the headroom unbounded.
+    """
+    return bool(uncapped) or not capacity - cap_sum > 2.0 * _saturation_level(
+        capacity
+    )
+
+
+def _bindable_channels(
+    flows: Sequence[FlowSpec], capacities: Mapping[ChannelId, float]
+) -> set[ChannelId]:
+    """The channels of ``flows`` that :func:`_may_bind` keeps."""
+    totals: dict[ChannelId, list] = {}
+    for flow in flows:
+        for channel in dict.fromkeys(flow.channels):  # a route may repeat one
+            total = totals.get(channel)
+            if total is None:
+                total = totals[channel] = [0.0, 0]
+            if flow.cap == math.inf:
+                total[1] += 1
+            else:
+                total[0] += flow.cap
+    return {
+        channel
+        for channel, (cap_sum, uncapped) in totals.items()
+        if _may_bind(capacities[channel], cap_sum, uncapped)
+    }
+
+
 def _fill(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ChannelId, float],
+    bindable: "set[ChannelId]",
     bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
     trace: "_Trace | None" = None,
     residuals: "Mapping[ChannelId, float] | None" = None,
@@ -172,14 +224,17 @@ def _fill(
     raises the level by the tightest headroom ``delta``, then freezes
     the flows of newly full channels and the flows at their caps.  All
     unfrozen flows receive the identical delta sequence, so one scalar
-    fold stands in for every unfrozen rate.  Channels get dense local
-    ids, and the per-channel count of unfrozen flows is decremented as
-    flows freeze; ``live`` keeps the channels that still have some and
-    that their members' caps could fill.
+    fold stands in for every unfrozen rate.  Only the ``bindable``
+    channels (those :func:`_may_bind` keeps) are indexed: the others
+    can never fill or bind, from any state of the fill.  Indexed
+    channels get dense local ids, and the per-channel count of unfrozen
+    flows is decremented as flows freeze; ``live`` keeps the channels
+    that still have some.
 
     A fresh solve starts from full capacities at level 0.0 in round 0.
     A resumed one (dirty-set replay) passes the reconstructed
-    ``residuals`` of the flows' channels, the level and the round.
+    ``residuals`` of the flows' bindable channels, the level and the
+    round.
 
     With ``bottlenecks`` (a dict to fill), each flow's freeze reason is
     recorded: the first channel in the flow's channel tuple that is
@@ -194,6 +249,8 @@ def _fill(
     for j, flow in enumerate(flows):
         own: list[int] = []
         for channel in flow.channels:
+            if channel not in bindable:
+                continue
             c = index.get(channel)
             if c is None:
                 index[channel] = c = len(members)
@@ -212,19 +269,7 @@ def _fill(
     full_at = [_saturation_level(cap) for cap in capacity]
     count = [len(group) for group in members]
     caps = [flow.cap for flow in flows]
-    # Leave out channels that can never fill or bind.  When the members'
-    # combined headroom to their caps leaves more than twice the
-    # saturation slack, the residual stays above the slack and the
-    # share above the smallest member headroom (so above every delta):
-    # skipping such a channel changes no result bit.  An uncapped
-    # member makes the headroom infinite and keeps the channel.
-    live: list[int] = []
-    for c, group in enumerate(members):
-        headroom = 0.0
-        for j in group:
-            headroom += caps[j] - level
-        if not residual[c] - headroom > 2.0 * full_at[c]:
-            live.append(c)
+    live = list(range(len(members)))
     capped = [j for j in range(n) if caps[j] < math.inf]
     cap_at = [cap - _CAP_SLACK * cap for cap in caps]
     rate = [level] * n
@@ -317,12 +362,20 @@ def _solve_component(
     capacities: Mapping[ChannelId, float],
     bottlenecks: "dict[Hashable, ChannelId | None] | None" = None,
     trace: "_Trace | None" = None,
+    bindable: "set[ChannelId] | None" = None,
 ) -> dict[Hashable, float]:
-    """Level one connected component (a lone flow takes a fast path)."""
+    """Level one connected component (a lone flow takes a fast path).
+
+    ``bindable`` must hold every channel of the component that
+    :func:`_may_bind` keeps; the incremental solver passes its set for
+    all channels, and without one the set is computed from ``flows``.
+    """
     if not flows:
         return {}
     if len(flows) > 1:
-        return _fill(flows, capacities, bottlenecks, trace)
+        if bindable is None:
+            bindable = _bindable_channels(flows, capacities)
+        return _fill(flows, capacities, bindable, bottlenecks, trace)
     # Fast path: a lone flow takes min(cap, narrowest channel).
     flow = flows[0]
     best = flow.cap
@@ -546,6 +599,14 @@ class FairshareSolver:
         self._flows: dict[Hashable, FlowSpec] = {}
         self._rates: dict[Hashable, float] = {}
         self._members: dict[ChannelId, set[Hashable]] = {}
+        # Per occupied channel: the sum of its capped members' caps and
+        # the count of its uncapped members, and from them the set of
+        # channels that may bind (see _may_bind).  Fills index only
+        # bindable channels; replays skip the other dirty ones unless
+        # they filled in the recorded solve.
+        self._cap_sums: dict[ChannelId, float] = {}
+        self._uncapped: dict[ChannelId, int] = {}
+        self._bindable: set[ChannelId] = set()
         self._component_of: dict[Hashable, int] = {}
         # Component membership as insertion-ordered id sets (dict keys):
         # O(1) add/discard keeps churn bookkeeping O(affected), not
@@ -610,12 +671,24 @@ class FairshareSolver:
         self.stats.capacity_changes += 1
         if not members:
             return {}
+        self._classify(channel)
         comp = self._component_of[next(iter(members))]
         flow_ids = self._components[comp]
         solved = self._replay(comp, flow_ids, comp, (channel,), (), frozenset())
         if solved is not None:
             return solved
         return self._relevel(flow_ids, comp)
+
+    def _classify(self, channel: ChannelId) -> None:
+        """Put an occupied channel in or out of the bindable set."""
+        if _may_bind(
+            self._capacities[channel],
+            self._cap_sums[channel],
+            self._uncapped[channel],
+        ):
+            self._bindable.add(channel)
+        else:
+            self._bindable.discard(channel)
 
     def has_channel(self, channel: ChannelId) -> bool:
         """Whether a channel id is registered."""
@@ -655,9 +728,24 @@ class FairshareSolver:
                     seen.add(comp)
                     touched.append(comp)
 
-        self._flows[spec.flow_id] = spec
+        flow_id = spec.flow_id
+        cap = spec.cap
+        self._flows[flow_id] = spec
         for channel in spec.channels:
-            self._members.setdefault(channel, set()).add(spec.flow_id)
+            group = self._members.get(channel)
+            if group is None:
+                self._members[channel] = {flow_id}
+                self._cap_sums[channel] = 0.0
+                self._uncapped[channel] = 0
+            elif flow_id in group:
+                continue  # a route may repeat a channel
+            else:
+                group.add(flow_id)
+            if cap == math.inf:
+                self._uncapped[channel] += 1
+            else:
+                self._cap_sums[channel] += cap
+            self._classify(channel)
         self.stats.flows_added += 1
 
         if len(touched) == 1:
@@ -714,8 +802,22 @@ class FairshareSolver:
                 group.discard(flow_id)
                 if not group:
                     del self._members[channel]
+                    del self._cap_sums[channel]
+                    del self._uncapped[channel]
+                    self._bindable.discard(channel)
+                    continue
+                occupied.append(group)
+                if spec.cap == math.inf:
+                    self._uncapped[channel] -= 1
                 else:
-                    occupied.append(group)
+                    # Re-add rather than subtract: a running difference
+                    # could keep the rounding of caps long gone.
+                    self._cap_sums[channel] = math.fsum(
+                        cap
+                        for cap in (self._flows[m].cap for m in group)
+                        if cap != math.inf
+                    )
+                self._classify(channel)
 
         comp = self._component_of.pop(flow_id)
         comp_members = self._components[comp]
@@ -812,7 +914,9 @@ class FairshareSolver:
                 else:
                     self.stats.trace_skips += 1
         bottlenecks = self._bottlenecks if self._track_bottlenecks else None
-        solved = _solve_component(component, self._capacities, bottlenecks, trace)
+        solved = _solve_component(
+            component, self._capacities, bottlenecks, trace, self._bindable
+        )
         if trace is not None:
             self._traces[comp_id] = trace
         else:
@@ -866,13 +970,20 @@ class FairshareSolver:
         freeze_round = trace.freeze_round
         full_round = trace.full_round
 
-        # Deterministically ordered, deduplicated dirty channel list.
+        # Every dirty channel voids the certificates it gave (a), but
+        # only those in the deterministically ordered ``dirty_list`` are
+        # folded and checked (b, c).  A dirty channel that cannot bind
+        # now and never filled in the recorded solve (so never bound in
+        # it) passes (b) and (c) in every round; it is left out, and so
+        # are its residuals, which no later fill indexes.
+        bindable = self._bindable
         dirty_list: list[ChannelId] = []
         dirty_set: set[ChannelId] = set()
         for channel in dirty_channels:
             if channel not in dirty_set:
                 dirty_set.add(channel)
-                dirty_list.append(channel)
+                if channel in bindable or channel in full_round:
+                    dirty_list.append(channel)
 
         a_spec: dict[Hashable, FlowSpec] = {f.flow_id: f for f in added}
         a_rate: dict[Hashable, float] = {f.flow_id: 0.0 for f in added}
@@ -1103,8 +1214,8 @@ class FairshareSolver:
             level = a_rate[pending[0].flow_id]
             updated.update(
                 _fill(
-                    pending, self._capacities, bottlenecks, trace, dres, level,
-                    nrounds,
+                    pending, self._capacities, self._bindable, bottlenecks,
+                    trace, dres, level, nrounds,
                 )
             )
         self._rates.update(updated)
@@ -1161,13 +1272,17 @@ class FairshareSolver:
             a_spec[fid] if fid in a_spec else self._flows[fid] for fid in frontier
         ]
 
-        # Suffix channels: every channel a frontier flow crosses (none
-        # of them saturated yet — a saturated channel has no unfrozen
-        # members).  Clean residuals fold the recorded deltas against
-        # the channel's historic active counts, reproducing the core's
+        # Suffix channels: every bindable channel a frontier flow
+        # crosses (none of them saturated yet — a saturated channel has
+        # no unfrozen members), the ones the resumed fill indexes.
+        # Clean residuals fold the recorded deltas against the
+        # channel's historic active counts, reproducing the core's
         # subtraction sequence bitwise.
+        bindable = self._bindable
         residual: dict[ChannelId, float] = {}
         for channel in dict.fromkeys(c for spec in specs for c in spec.channels):
+            if channel not in bindable:
+                continue
             if channel in dirty_set:
                 residual[channel] = dres[channel]
                 continue
@@ -1203,7 +1318,8 @@ class FairshareSolver:
 
         bottlenecks = self._bottlenecks if self._track_bottlenecks else None
         solved = _fill(
-            specs, capacities, bottlenecks, resumed, residual, acc, diverged
+            specs, capacities, bindable, bottlenecks, resumed, residual, acc,
+            diverged,
         )
         self._traces[store_comp] = resumed
 

@@ -206,11 +206,21 @@ class FlowNetwork:
         # Bottleneck tracking is the span layer's data source; leave it
         # off otherwise so the disabled path stays within the perf guard.
         self._solver = FairshareSolver(track_bottlenecks=bool(spans))
-        self._blame_names: dict[Hashable, str] = {}
+        # The solver sees dense int channel ids (cheap to hash, unlike
+        # tuples such as ('link', 'gcd0-gcd1:quad', 'fwd')); flows,
+        # metrics and blame keys keep the original ids.
+        self._solver_ids: dict[Hashable, int] = {}
+        self._channel_ids: list[Hashable] = []
+        #: Blame-bucket names by solver channel id (aliases included).
+        self._blame_names: dict[int, str] = {}
 
     @property
     def solver(self) -> FairshareSolver:
-        """The live incremental solver (stats live on ``solver.stats``)."""
+        """The live incremental solver (stats live on ``solver.stats``).
+
+        Its channel ids are dense ints in :meth:`add_channel` order,
+        not the network's channel ids.
+        """
         return self._solver
 
     # -- channel management --------------------------------------------------
@@ -231,7 +241,9 @@ class FlowNetwork:
             )
         channel = Channel(channel_id, capacity)
         self._channels[channel_id] = channel
-        self._solver.add_channel(channel_id, capacity)
+        index = self._solver_ids[channel_id] = len(self._channel_ids)
+        self._channel_ids.append(channel_id)
+        self._solver.add_channel(index, capacity)
         return channel
 
     def set_capacity(self, channel_id: Hashable, capacity: float) -> None:
@@ -271,7 +283,9 @@ class FlowNetwork:
                 self._slot_remove(flow)
                 flow.rate = 0.0
         channel.set_capacity(capacity)
-        updated.update(self._solver.set_capacity(channel_id, capacity))
+        updated.update(
+            self._solver.set_capacity(self._solver_ids[channel_id], capacity)
+        )
         if self._metrics:
             self._metrics.counter("network/capacity_changes").inc()
             if failed:
@@ -298,11 +312,13 @@ class FlowNetwork:
         their plain channel name.  Takes effect at the next re-level.
         """
         self.channel(channel_id)
-        self._blame_names[channel_id] = alias
+        self._blame_names[self._solver_ids[channel_id]] = alias
 
     def clear_blame_alias(self, channel_id: Hashable) -> None:
         """Drop a blame alias; the plain metric name is re-derived lazily."""
-        self._blame_names.pop(channel_id, None)
+        index = self._solver_ids.get(channel_id)
+        if index is not None:
+            self._blame_names.pop(index, None)
 
     def has_channel(self, channel_id: Hashable) -> bool:
         """Whether a channel id is registered."""
@@ -340,6 +356,8 @@ class FlowNetwork:
         the fair-share solver froze the flow at.
         """
         channel_ids = tuple(channels)
+        solver_ids = self._solver_ids
+        route: list[int] = []
         for channel_id in channel_ids:
             channel = self._channels.get(channel_id)
             if channel is None:
@@ -349,8 +367,13 @@ class FlowNetwork:
                     f"channel {channel_id!r} is down (capacity 0); "
                     f"cannot start transfer {label!r}"
                 )
-        if size < 0:
-            raise SimulationError("transfer size must be non-negative")
+            route.append(solver_ids[channel_id])
+        if not size >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"transfer size must be non-negative, got {size!r}"
+            )
+        if not cap > 0:  # also rejects NaN; checked before any state changes
+            raise SimulationError(f"transfer cap must be positive, got {cap!r}")
         if not channel_ids and cap is math.inf:
             raise SimulationError("flow needs at least one channel or a cap")
 
@@ -377,11 +400,11 @@ class FlowNetwork:
         if metrics:
             metrics.counter("network/flows_started").inc()
             metrics.counter("network/bytes_requested").inc(size)
-            for channel_id in channel_ids:
+            for channel_id in dict.fromkeys(channel_ids):  # count repeats once
                 metrics.channel(
                     channel_id, self._channels[channel_id].capacity
                 ).flows += 1
-        updated = self._solver.add_flow(FlowSpec(flow.flow_id, channel_ids, cap))
+        updated = self._solver.add_flow(FlowSpec(flow.flow_id, tuple(route), cap))
         self._defer_resolve(updated)
         return flow
 
@@ -495,19 +518,20 @@ class FlowNetwork:
         ``rate × dt`` per channel here (every ``_advance_to_now``) is
         exact — the same integral the flows themselves advance by.
         """
-        per_channel: dict[Hashable, list[float]] = {}
+        per_channel: dict[Hashable, list] = {}
         for flow in self._active.values():
             rate = flow.rate
             for channel_id in flow.channels:
                 entry = per_channel.get(channel_id)
                 if entry is None:
-                    per_channel[channel_id] = [rate, 1]
-                else:
+                    per_channel[channel_id] = [rate, 1, flow]
+                elif entry[2] is not flow:  # a route may repeat a channel
                     entry[0] += rate
                     entry[1] += 1
+                    entry[2] = flow
         metrics = self._metrics
         channels = self._channels
-        for channel_id, (load, nflows) in per_channel.items():
+        for channel_id, (load, nflows, _) in per_channel.items():
             metrics.channel(channel_id, channels[channel_id].capacity).account(
                 start, dt, load, int(nflows)
             )
@@ -625,12 +649,13 @@ class FlowNetwork:
         self._alarm = self.engine.schedule(next_completion, self._on_completion_alarm)
         self._alarm_at = self.engine.now + next_completion
 
-    def _blame_key(self, bottleneck: Hashable | None, flow: Flow) -> str:
+    def _blame_key(self, bottleneck: int | None, flow: Flow) -> str:
         """Flattened blame-bucket name for a solver freeze reason.
 
-        Channel ids flatten exactly like metric names (so blame keys
-        line up with ``ChannelUsage`` entries); a ``None`` bottleneck
-        means the flow froze at its own cap.
+        ``bottleneck`` is the solver's channel id; the original channel
+        id flattens exactly like metric names (so blame keys line up
+        with ``ChannelUsage`` entries).  A ``None`` bottleneck means the
+        flow froze at its own cap.
         """
         if bottleneck is None:
             return f"cap:{flow.label or 'flow'}"
@@ -638,7 +663,7 @@ class FlowNetwork:
         if key is None:
             from ..obs.metrics import metric_name
 
-            key = metric_name(bottleneck)
+            key = metric_name(self._channel_ids[bottleneck])
             self._blame_names[bottleneck] = key
         return key
 

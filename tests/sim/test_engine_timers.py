@@ -107,3 +107,38 @@ class TestCounters:
             return order
 
         assert trace() == trace()
+
+
+class TestNaNDelaysRejected:
+    """``delay < 0`` is False for NaN: every entry point must say no."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda engine, delay: engine.timeout(delay),
+            lambda engine, delay: engine.call_after(delay, lambda: None),
+            lambda engine, delay: engine.schedule(delay, lambda: None),
+            lambda engine, delay: engine._schedule_delivery(
+                engine.event(), delay=delay
+            ),
+        ],
+        ids=["timeout", "call_after", "schedule", "schedule_delivery"],
+    )
+    def test_nan_delay_raises_and_queues_nothing(self, engine, schedule):
+        with pytest.raises(SchedulingError, match="non-negative"):
+            schedule(engine, self.NAN)
+        assert engine.run() == 0.0
+
+    def test_nan_timeout_never_wakes_its_process(self, engine):
+        woke = []
+
+        def sleeper():
+            yield engine.timeout(self.NAN)
+            woke.append(engine.now)
+
+        engine.process(sleeper())
+        with pytest.raises(SchedulingError):
+            engine.run()
+        assert woke == []

@@ -96,11 +96,11 @@ class TestCoreMatchesReference:
 
         solve = fairshare._solve_component
 
-        def capture(flows, capacities, bottlenecks=None, trace=None):
+        def capture(flows, capacities, bottlenecks=None, trace=None, bindable=None):
             if len(flows) == 63:
                 used = {c: capacities[c] for f in flows for c in f.channels}
                 raise Captured(list(flows), used)
-            return solve(flows, capacities, bottlenecks, trace)
+            return solve(flows, capacities, bottlenecks, trace, bindable)
 
         monkeypatch.setattr(fairshare, "_solve_component", capture)
         topology = presets.mi250x_cluster(nodes=8)

@@ -2,15 +2,18 @@
 
 Each class pins one historical bug: ``utilization()`` divided by zero
 (or inf) capacity, ``achieved_rate`` returned ``inf`` for zero-duration
-transfers, and ``add_channel`` accepted non-positive capacities that
-blew up later mid-solve.
+transfers, ``add_channel`` accepted non-positive capacities that
+blew up later mid-solve, a NaN size hung the run, a bad cap left a
+zombie flow behind, and metrics counted a repeated route channel twice.
 """
 
 import math
+import warnings
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 from repro.sim.flow import Channel, FlowNetwork
 
@@ -99,3 +102,48 @@ class TestChannelValidation:
             channel.set_capacity(-1.0)
         channel.set_capacity(0.0)  # zero = failed link, legal
         assert channel.capacity == 0.0
+
+
+class TestTransferValidation:
+    def test_nan_size_is_rejected(self):
+        engine, network = _network()
+        network.add_channel("c", 10.0)
+        with pytest.raises(SimulationError, match="non-negative"):
+            network.transfer(["c"], math.nan)
+        assert network.active_flows() == []
+        assert engine.run(until=100.0) == 0.0  # nothing queued, no hang
+
+    @pytest.mark.parametrize("cap", [0.0, -5.0, math.nan])
+    def test_bad_cap_leaves_no_zombie_flow(self, cap):
+        engine, network = _network()
+        network.add_channel("c", 10.0)
+        with pytest.raises(SimulationError, match="cap must be positive"):
+            network.transfer(["c"], 100.0, cap=cap)
+        assert network.active_flows() == []
+        assert len(network.solver) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "divide by zero" re-levels
+            flow = network.transfer(["c"], 100.0)
+            engine.run()
+        assert flow.finish_time == 10.0
+        assert flow.flow_id == 0  # the rejected transfer took no id
+
+
+class TestRepeatedRouteChannel:
+    def test_metrics_count_a_repeated_channel_once(self):
+        # fig02's H2D memcpy route lists ('dram', 0) twice; the solver
+        # counts the channel once, and so must the metrics.
+        engine = SimEngine()
+        metrics = MetricsRegistry()
+        network = FlowNetwork(engine, metrics=metrics)
+        network.add_channel("c", 10.0)
+        network.add_channel("d", 20.0)
+        flow = network.transfer(["c", "d", "c"], 100.0)
+        engine.run()
+        assert flow.finish_time == 10.0
+        usage = metrics.channels()["c"]
+        assert usage.bytes == flow.size
+        assert usage.utilization <= 1.0
+        assert usage.flows == 1
+        assert usage.max_concurrent_flows == 1
+        assert metrics.channels()["d"].bytes == flow.size
