@@ -249,7 +249,8 @@ class TestCoherentFabric:
 
         def measure(mi300: bool, size):
             hip = HipRuntime(
-                coherence=CoherencePolicy(mi300_coherent_fabric=mi300)
+                HardwareNode(),
+                coherence=CoherencePolicy(mi300_coherent_fabric=mi300),
             )
             host = hip.host_malloc(size)  # pinned coherent
             dev = hip.malloc(size)

@@ -48,7 +48,7 @@ from .faults import (
     RetryPolicy,
     SdmaStall,
 )
-from .hardware.node import HardwareNode, frontier_hardware
+from .hardware.node import HardwareNode
 from .hip.runtime import HipRuntime
 from .runner import ResultCache, SimPoint, SweepRunner
 from .session import Session, TOPOLOGY_PRESETS, resolve_topology
@@ -116,7 +116,6 @@ __all__ = [
     "dump_profile",
     "load_profile",
     "HardwareNode",
-    "frontier_hardware",
     "HipRuntime",
     "__version__",
 ]

@@ -50,9 +50,7 @@ artifact), :func:`load_profile` / :func:`dump_profile` (fitted
 Compatibility contract: within one :data:`API_VERSION`, names exported
 here only gain parameters (keyword-only, defaulted) and never change
 semantics; anything else in ``repro.*`` is internal layering that may
-move between minor versions.  The pre-v1 flat ``Session`` kwargs
-(``trace=``, ``metrics=``, ``spans=``, …) keep working with a
-:class:`DeprecationWarning` — ``docs/migration.md`` has the mapping.
+move between minor versions.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ Commands
 ``explain <artifact> [--span ID]``
     Run one artifact with spans on and print the ranked critical-path
     blame breakdown ("why did this take 840 µs").
-``inject <artifact> --scenario chaos.json [--seedless] [--explain]``
+``inject <artifact> --scenario chaos.json [--no-cache] [--explain]``
     Chaos run: replay a fault scenario (timed link failures/
     degradations, SDMA stalls, page-migration storms) against an
     artifact and print its paper-style report under faults.  Faulted
-    results are cached under the scenario's fingerprint; ``--seedless``
+    results are cached under the scenario's fingerprint; ``--no-cache``
     bypasses the cache entirely.  ``--explain`` reruns with spans on
     and prints the blame table, where injected faults appear as
     ``fault:*`` buckets.
@@ -415,11 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "artifact",
         metavar="ARTIFACT",
         help="artifact id or module name (fig06, fig11_collectives, …)",
-    )
-    inject.add_argument(
-        "--seedless",
-        action="store_true",
-        help="deprecated alias for --no-cache",
     )
     inject.add_argument(
         "--explain",
@@ -1664,8 +1659,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "error: inject requires --scenario FILE", file=sys.stderr
             )
             return 2
-        if args.seedless:
-            args.no_cache = True
         return _cmd_inject(
             args.artifact,
             scenario,

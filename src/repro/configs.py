@@ -9,11 +9,9 @@ API groups them into two small dataclasses:
 - :class:`ObsConfig` — what to observe (tracer, metrics, spans).
 - :class:`RunnerConfig` — how to fan out (jobs, cache, captures).
 
-The old flat kwargs still work everywhere but raise
-:class:`DeprecationWarning`; see ``docs/migration.md`` for the
-old → new mapping.  These classes live in their own dependency-free
-module so ``repro.api``, ``repro.session`` and ``repro.runner`` can
-all import them without cycles.
+These classes live in their own dependency-free module so
+``repro.api``, ``repro.session`` and ``repro.runner`` can all import
+them without cycles.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Hashable, Iterable, Sequence
 
 from ..context import active, resolve_default
@@ -27,7 +26,6 @@ from ..sim.flow import Flow, FlowNetwork
 from ..sim.trace import Tracer
 from ..topology.link import LinkEndpoint, LinkTier
 from ..topology.node import NodeTopology
-from ..topology.presets import frontier_node
 from ..topology.routing import Route, RoutingPolicy
 from .cpu import CpuSocket
 from .gcd import GcdDevice
@@ -265,21 +263,3 @@ class HardwareNode:
             ]
         )
 
-
-def frontier_hardware(
-    *,
-    calibration: CalibrationProfile | None = None,
-    trace: bool = False,
-) -> HardwareNode:
-    """Convenience: a fresh Fig. 1 node with default calibration.
-
-    .. deprecated:: 0.2
-        Use :class:`repro.Session` — it wires the node, environment,
-        HIP runtime and tracer together in one object.
-    """
-    warnings.warn(
-        "frontier_hardware() is deprecated; use repro.Session(topology='mi250x')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return HardwareNode(frontier_node(), calibration, trace=trace)

@@ -13,7 +13,6 @@ All internal layers work with physical GCD indices.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Generator, Optional
 
 from ..config import SimEnvironment
@@ -39,19 +38,12 @@ class HipRuntime:
 
     def __init__(
         self,
-        node: HardwareNode | None = None,
+        node: HardwareNode,
         env: SimEnvironment | None = None,
         *,
         coherence: CoherencePolicy | None = None,
     ) -> None:
-        if node is None:
-            warnings.warn(
-                "HipRuntime() with an implicit node is deprecated; "
-                "use repro.Session (session.hip) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.node = node if node is not None else HardwareNode()
+        self.node = node
         self.env = env if env is not None else SimEnvironment()
         self.coherence = coherence if coherence is not None else CoherencePolicy()
         self.space = AddressSpace(page_size=self.node.calibration.page_size)

@@ -18,7 +18,6 @@ Matching is (source, tag) FIFO per destination.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Any, Callable, Generator, Optional, Sequence
 
@@ -89,20 +88,13 @@ class MpiWorld:
 
     def __init__(
         self,
-        node: HardwareNode | None = None,
+        node: HardwareNode,
         env: SimEnvironment | None = None,
         *,
         rank_gcds: Sequence[int] | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        if node is None:
-            warnings.warn(
-                "MpiWorld() with an implicit node is deprecated; "
-                "use repro.Session (session.mpi_world()) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.node = node if node is not None else HardwareNode()
+        self.node = node
         self.env = env if env is not None else SimEnvironment()
         if rank_gcds is None:
             rank_gcds = [g.index for g in self.node.topology.gcds()]

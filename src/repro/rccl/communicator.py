@@ -8,7 +8,6 @@ selected GCDs and exposes the five collectives as DES processes.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Sequence
 
 from ..config import SimEnvironment
@@ -24,7 +23,7 @@ class RcclCommunicator:
 
     def __init__(
         self,
-        node: HardwareNode | None = None,
+        node: HardwareNode,
         gcds: Sequence[int] | None = None,
         *,
         env: SimEnvironment | None = None,
@@ -32,14 +31,7 @@ class RcclCommunicator:
         retry: RetryPolicy | None = None,
         algorithm: str | None = None,
     ) -> None:
-        if node is None:
-            warnings.warn(
-                "RcclCommunicator() with an implicit node is deprecated; "
-                "use repro.Session (session.rccl_communicator()) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.node = node if node is not None else HardwareNode()
+        self.node = node
         self.env = env if env is not None else SimEnvironment()
         if gcds is None:
             gcds = [g.index for g in self.node.topology.gcds()]

@@ -17,7 +17,7 @@ fair-share solver — behind a single context manager::
 
     import repro
 
-    with repro.Session(topology="mi250x", trace=True) as s:
+    with repro.Session(topology="mi250x", obs=repro.ObsConfig(trace=True)) as s:
         a = s.hip.malloc(1 << 30, device=0)
         b = s.hip.malloc(1 << 30, device=1)
         s.run(s.hip.memcpy_peer(b, 1, a, 0))
@@ -29,7 +29,6 @@ deterministic, exactly like the bare objects did.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Generator, Sequence
 
 from .config import SimEnvironment
@@ -120,55 +119,6 @@ def resolve_topology(topology: "str | NodeTopology | None") -> NodeTopology:
     )
 
 
-def _fold_flat_obs_kwargs(
-    obs: ObsConfig | None,
-    *,
-    trace: bool | None,
-    trace_capacity: int | None,
-    metrics: Any,
-    metrics_capacity: int | None,
-    spans: Any,
-) -> ObsConfig:
-    """Merge the pre-v1 flat observation kwargs into an ObsConfig.
-
-    Each flat kwarg earns a :class:`DeprecationWarning`; combining the
-    two styles is an error (silently preferring one would hide a bug at
-    the call site).
-    """
-    passed = {
-        name: value
-        for name, value in (
-            ("trace", trace),
-            ("trace_capacity", trace_capacity),
-            ("metrics", metrics),
-            ("metrics_capacity", metrics_capacity),
-            ("spans", spans),
-        )
-        if value is not None
-    }
-    if not passed:
-        return obs if obs is not None else ObsConfig()
-    if obs is not None:
-        raise ConfigurationError(
-            "pass either obs=ObsConfig(...) or the deprecated flat kwargs, "
-            f"not both: {sorted(passed)}"
-        )
-    spelling = ", ".join(f"{name}=..." for name in sorted(passed))
-    warnings.warn(
-        f"Session({spelling}) is deprecated; use "
-        f"Session(obs=ObsConfig({spelling})) — see docs/migration.md",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ObsConfig(
-        trace=bool(trace),
-        trace_capacity=trace_capacity,
-        metrics=metrics,
-        metrics_capacity=metrics_capacity,
-        spans=spans,
-    )
-
-
 def _resolve_telemetry(telemetry: Any):
     """Coerce ``Session(telemetry=...)`` into a TelemetryStream."""
     if telemetry is None:
@@ -230,11 +180,6 @@ class Session:
         ``repro-telemetry/1`` JSONL file.  Stored for :meth:`shadow`
         and :meth:`calibrate`; it does not change how the session
         simulates.
-    trace, trace_capacity, metrics, metrics_capacity, spans:
-        .. deprecated:: 0.7
-            The pre-v1 flat spellings of ``obs=ObsConfig(...)``.
-            Still honoured (with a :class:`DeprecationWarning`); see
-            ``docs/migration.md``.
     """
 
     def __init__(
@@ -249,11 +194,6 @@ class Session:
         faults: Any = None,
         rccl_algorithm: str | None = None,
         telemetry: Any = None,
-        trace: bool | None = None,
-        trace_capacity: int | None = None,
-        metrics: Any = None,
-        metrics_capacity: int | None = None,
-        spans: Any = None,
         **env_flags: Any,
     ) -> None:
         if env is not None and env_flags:
@@ -261,14 +201,7 @@ class Session:
                 "pass either env= or environment keyword flags, not both: "
                 f"{sorted(env_flags)}"
             )
-        obs = _fold_flat_obs_kwargs(
-            obs,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            metrics=metrics,
-            metrics_capacity=metrics_capacity,
-            spans=spans,
-        )
+        obs = obs if obs is not None else ObsConfig()
         self.obs = obs
         self.runner_config = runner if runner is not None else RunnerConfig()
         if rccl_algorithm is not None:
@@ -328,7 +261,7 @@ class Session:
 
     @property
     def tracer(self):
-        """The session's tracer (enabled iff ``trace=True``)."""
+        """The session's tracer (enabled iff ``obs=ObsConfig(trace=True)``)."""
         return self.node.tracer
 
     @property
@@ -522,7 +455,7 @@ class Session:
         """Snapshot of the session's metrics registry.
 
         Empty sections unless the session was built with
-        ``metrics=True`` (or a shared registry).  See
+        ``obs=ObsConfig(metrics=True)`` (or a shared registry).  See
         :mod:`repro.obs.metrics` for the schema.
         """
         self.node.network.solver.stats.publish(self.node.metrics)
@@ -531,8 +464,8 @@ class Session:
     def spans(self) -> list[dict[str, Any]]:
         """Causal spans recorded so far, as JSON-able dicts.
 
-        Empty unless the session was built with ``spans=True`` (or a
-        shared recorder).  See :mod:`repro.obs.spans` for the schema.
+        Empty unless the session was built with
+        ``obs=ObsConfig(spans=True)`` (or a shared recorder).  See :mod:`repro.obs.spans` for the schema.
         """
         return self.node.spans.as_dicts()
 

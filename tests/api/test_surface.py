@@ -48,17 +48,12 @@ class TestObsConfig:
             assert not s.obs.enabled
             assert not s.tracer.enabled
 
-    def test_flat_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="docs/migration.md"):
-            s = api.Session(trace=True)
-        try:
-            assert s.tracer.enabled
-            assert s.obs.trace is True
-        finally:
-            s.close()
+    def test_flat_kwargs_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown environment flag"):
+            api.Session(trace=True)
 
     def test_mixing_styles_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(ConfigurationError, match="unknown environment flag"):
             api.Session(trace=True, obs=ObsConfig())
 
 

@@ -32,15 +32,15 @@ def node():
 @pytest.fixture
 def hip():
     """A fresh HIP runtime on a fresh node."""
-    return HipRuntime()
+    return HipRuntime(HardwareNode())
 
 
 @pytest.fixture
 def hip_xnack():
     """HIP runtime with HSA_XNACK=1."""
-    return HipRuntime(env=SimEnvironment(xnack_enabled=True))
+    return HipRuntime(HardwareNode(), env=SimEnvironment(xnack_enabled=True))
 
 
 def make_runtime(**env_kwargs) -> HipRuntime:
     """Helper for tests needing specific environment switches."""
-    return HipRuntime(env=SimEnvironment(**env_kwargs))
+    return HipRuntime(HardwareNode(), env=SimEnvironment(**env_kwargs))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.hardware.node import HardwareNode, frontier_hardware
+from repro.hardware.node import HardwareNode
 from repro.hardware.xgmi import (
     both_channels,
     channels_for_route,
@@ -93,8 +93,8 @@ class TestChannelComposition:
 
 
 class TestHelpers:
-    def test_frontier_hardware_convenience(self):
-        node = frontier_hardware(trace=True)
+    def test_traced_default_node(self):
+        node = HardwareNode(trace=True)
         assert node.tracer.enabled
 
     def test_describe_mentions_calibration(self, node):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimEnvironment
 from repro.errors import HipError
+from repro.hardware.node import HardwareNode
 from repro.hip.enums import HostMallocFlags, MemcpyKind
 from repro.hip.memcpy import pageable_variation, pair_jitter
 from repro.hip.runtime import HipRuntime
@@ -101,7 +102,7 @@ class TestPeerCopies:
 
     def test_blit_kernel_uses_full_link(self):
         env = SimEnvironment(peer_sdma_enabled=False)
-        hip = HipRuntime(env=env)
+        hip = HipRuntime(HardwareNode(), env=env)
         src_buf = hip.malloc(1 * GiB, device=0)
         dst_buf = hip.malloc(1 * GiB, device=1)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimEnvironment
 from repro.errors import AllocationError, InvalidDeviceError
+from repro.hardware.node import HardwareNode
 from repro.hip.enums import HostMallocFlags
 from repro.hip.runtime import HipRuntime
 from repro.memory.buffer import MemoryKind
@@ -26,7 +27,7 @@ class TestDeviceManagement:
 
     def test_visible_devices_remap(self):
         env = SimEnvironment(visible_devices=(6, 2))
-        hip = HipRuntime(env=env)
+        hip = HipRuntime(HardwareNode(), env=env)
         assert hip.device_count() == 2
         hip.set_device(0)
         assert hip.physical_device() == 6
@@ -37,7 +38,7 @@ class TestDeviceManagement:
 
     def test_visible_devices_affects_allocation(self):
         env = SimEnvironment(visible_devices=(7,))
-        hip = HipRuntime(env=env)
+        hip = HipRuntime(HardwareNode(), env=env)
         hip.set_device(0)
         buffer = hip.malloc(1 * MiB)
         assert buffer.home.index == 7

@@ -73,7 +73,7 @@ class TestInjectCli:
         assert DEGRADE.fingerprint()[:12] in out
         assert "link_degrade" in out
 
-    def test_seedless_bypasses_the_cache(
+    def test_no_cache_bypasses_the_cache(
         self, scenario_file, capsys, monkeypatch, tmp_path
     ):
         cache_dir = tmp_path / "cache"
@@ -84,7 +84,7 @@ class TestInjectCli:
                 "fig04",
                 "--scenario",
                 str(scenario_file),
-                "--seedless",
+                "--no-cache",
             ]
         )
         assert code == 0
@@ -110,7 +110,7 @@ class TestInjectCli:
                 }
             )
         )
-        code = main(["inject", "fig04", "--scenario", str(lethal), "--seedless"])
+        code = main(["inject", "fig04", "--scenario", str(lethal), "--no-cache"])
         assert code == 1
         err = capsys.readouterr().err
         assert "killed the run" in err

@@ -9,6 +9,7 @@ value* — the strongest correctness check the simulator offers.
 import numpy as np
 import pytest
 
+from repro.hardware.node import HardwareNode
 from repro.hip.runtime import HipRuntime
 from repro.mpi.collectives import allreduce, broadcast, reduce
 from repro.mpi.comm import MpiWorld
@@ -120,7 +121,7 @@ class TestHipPayloads:
 
 class TestMpiPayloads:
     def test_message_content(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -136,7 +137,7 @@ class TestMpiPayloads:
 
     @pytest.mark.parametrize("root", [0, 3])
     def test_broadcast_delivers_root_content(self, root):
-        world = MpiWorld(rank_gcds=list(range(8)))
+        world = MpiWorld(HardwareNode(), rank_gcds=list(range(8)))
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -149,7 +150,7 @@ class TestMpiPayloads:
 
     @pytest.mark.parametrize("ranks", [2, 4, 8])
     def test_allreduce_sums_contributions(self, ranks):
-        world = MpiWorld(rank_gcds=list(range(ranks)))
+        world = MpiWorld(HardwareNode(), rank_gcds=list(range(ranks)))
 
         def main(ctx):
             send = ctx.hip.malloc(1 * KiB)
@@ -163,7 +164,7 @@ class TestMpiPayloads:
         assert world.run(main) == [expected] * ranks
 
     def test_allreduce_non_power_of_two(self):
-        world = MpiWorld(rank_gcds=list(range(3)))
+        world = MpiWorld(HardwareNode(), rank_gcds=list(range(3)))
 
         def main(ctx):
             send = ctx.hip.malloc(256)
@@ -177,7 +178,7 @@ class TestMpiPayloads:
 
     @pytest.mark.parametrize("root", [0, 5])
     def test_reduce_sums_at_root(self, root):
-        world = MpiWorld(rank_gcds=list(range(8)))
+        world = MpiWorld(HardwareNode(), rank_gcds=list(range(8)))
 
         def main(ctx):
             send = ctx.hip.malloc(512)

@@ -129,7 +129,7 @@ class TestMigrationEngine:
 
         from repro.hip.runtime import HipRuntime
 
-        hip2 = HipRuntime()
+        hip2 = HipRuntime(HardwareNode())
         discrete_engine = MigrationEngine(hip2.node, discrete=True)
 
         def measure(runtime, engine):

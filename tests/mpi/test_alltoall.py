@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import MpiError
+from repro.hardware.node import HardwareNode
 from repro.mpi.collectives import alltoall
 from repro.mpi.comm import MpiWorld
 from repro.units import KiB, MiB
 
 
 def run_alltoall(num_ranks, nbytes=512 * KiB):
-    world = MpiWorld(rank_gcds=list(range(num_ranks)))
+    world = MpiWorld(HardwareNode(), rank_gcds=list(range(num_ranks)))
 
     def main(ctx):
         send = ctx.hip.malloc(nbytes)
@@ -29,7 +30,7 @@ class TestAlltoall:
         assert all(d > 0 for d in durations)
 
     def test_single_rank_noop(self):
-        world = MpiWorld(rank_gcds=[0])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -47,7 +48,7 @@ class TestAlltoall:
         assert two < eight < 7 * two
 
     def test_undersized_buffers_rejected(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             send = ctx.hip.malloc(1 * KiB)

@@ -9,6 +9,7 @@ pairwise).  Latency *values* are covered by the integration tests.
 
 import pytest
 
+from repro.hardware.node import HardwareNode
 from repro.mpi.collectives import (
     COLLECTIVES,
     allgather,
@@ -24,7 +25,7 @@ SIZES = list(range(2, 9))
 
 
 def run_collective(name, num_ranks, nbytes=256 * KiB, root=0):
-    world = MpiWorld(rank_gcds=list(range(num_ranks)))
+    world = MpiWorld(HardwareNode(), rank_gcds=list(range(num_ranks)))
     fn = COLLECTIVES[name]
 
     def main(ctx):
@@ -57,7 +58,7 @@ class TestCompletion:
         assert all(d >= 0 for d in durations)
 
     def test_single_rank_is_noop(self):
-        world = MpiWorld(rank_gcds=[0])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -102,7 +103,7 @@ class TestAlgorithmShape:
 
 class TestValidation:
     def test_bad_root(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -114,7 +115,7 @@ class TestValidation:
             world.run(main)
 
     def test_reduce_scatter_recv_too_small(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             send = ctx.hip.malloc(1 * MiB)
@@ -127,7 +128,7 @@ class TestValidation:
             world.run(main)
 
     def test_scratch_buffers_are_freed(self):
-        world = MpiWorld(rank_gcds=[0, 1, 2, 3])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1, 2, 3])
 
         def main(ctx):
             send = ctx.hip.malloc(1 * MiB)

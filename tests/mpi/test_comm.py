@@ -4,18 +4,19 @@ import pytest
 
 from repro.config import SimEnvironment
 from repro.errors import MpiError
+from repro.hardware.node import HardwareNode
 from repro.mpi.comm import MpiWorld
 from repro.units import GiB, KiB, MiB, to_gbps
 
 
 class TestWorldSetup:
     def test_default_world_is_eight_ranks(self):
-        world = MpiWorld()
+        world = MpiWorld(HardwareNode())
         assert world.size == 8
         assert world.rank_gcds == tuple(range(8))
 
     def test_each_rank_bound_to_its_gcd(self):
-        world = MpiWorld(rank_gcds=[3, 5])
+        world = MpiWorld(HardwareNode(), rank_gcds=[3, 5])
 
         def main(ctx):
             return ctx.hip.physical_device()
@@ -25,17 +26,17 @@ class TestWorldSetup:
 
     def test_empty_world_rejected(self):
         with pytest.raises(MpiError):
-            MpiWorld(rank_gcds=[])
+            MpiWorld(HardwareNode(), rank_gcds=[])
 
     def test_context_bounds(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
         with pytest.raises(MpiError):
             world.context(2)
 
 
 class TestPointToPoint:
     def test_send_recv_roundtrip(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * MiB)
@@ -49,7 +50,7 @@ class TestPointToPoint:
         assert times[0] > 0 and times[1] > 0
 
     def test_recv_posted_first(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(64 * KiB)
@@ -65,7 +66,7 @@ class TestPointToPoint:
         assert world.run(main) == [True, True]
 
     def test_message_truncation_detected(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             if ctx.rank == 0:
@@ -79,7 +80,7 @@ class TestPointToPoint:
             world.run(main)
 
     def test_invalid_rank(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(64)
@@ -90,7 +91,7 @@ class TestPointToPoint:
 
     def test_tag_separation(self):
         """Messages with different tags match their own receivers."""
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             a = ctx.hip.malloc(64 * KiB)
@@ -114,7 +115,7 @@ class TestPointToPoint:
     def test_connection_serialization(self):
         """A window of Isends cannot exceed the single-copy rate."""
         world = MpiWorld(
-            env=SimEnvironment(sdma_enabled=True), rank_gcds=[0, 1]
+            HardwareNode(), env=SimEnvironment(sdma_enabled=True), rank_gcds=[0, 1]
         )
         size = 256 * MiB
 
@@ -137,7 +138,7 @@ class TestPointToPoint:
         assert to_gbps(rate) == pytest.approx(50.0, rel=0.05)
 
     def test_sendrecv_concurrent(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
         size = 256 * MiB
 
         def main(ctx):
@@ -162,7 +163,7 @@ def _wait_value(request):
 
 class TestBarrier:
     def test_barrier_synchronizes(self):
-        world = MpiWorld(rank_gcds=[0, 1, 2])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1, 2])
 
         def main(ctx):
             yield ctx.engine.timeout(float(ctx.rank))  # skewed arrivals
@@ -174,7 +175,7 @@ class TestBarrier:
         assert min(times) > 2.0  # nobody leaves before the last arrival
 
     def test_barrier_reusable(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             for _ in range(3):
@@ -187,7 +188,7 @@ class TestBarrier:
 class TestGpuAwareness:
     def test_device_buffers_require_gpu_support(self):
         env = SimEnvironment(mpich_gpu_support=False)
-        world = MpiWorld(env=env, rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), env=env, rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * MiB)
@@ -201,7 +202,7 @@ class TestGpuAwareness:
 
     def test_host_buffers_work_without_gpu_support(self):
         env = SimEnvironment(mpich_gpu_support=False)
-        world = MpiWorld(env=env, rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), env=env, rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.host_malloc(1 * MiB)
@@ -215,7 +216,7 @@ class TestGpuAwareness:
 
     def test_ipc_mapping_amortizes(self):
         """First message pays the map cost; repeats only the lookup."""
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
         size = 64 * KiB
 
         def main(ctx):

@@ -9,6 +9,7 @@ like performance anomalies.
 import pytest
 
 from repro.errors import MpiError
+from repro.hardware.node import HardwareNode
 from repro.mpi.collectives import allreduce, broadcast
 from repro.mpi.comm import MpiWorld
 from repro.units import KiB, MiB
@@ -16,7 +17,7 @@ from repro.units import KiB, MiB
 
 class TestDeadlockDetection:
     def test_recv_without_send(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -28,7 +29,7 @@ class TestDeadlockDetection:
             world.run(main)
 
     def test_mismatched_tags_deadlock(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * KiB)
@@ -42,7 +43,7 @@ class TestDeadlockDetection:
 
     def test_partial_collective_participation(self):
         """One rank skipping a collective deadlocks the communicator."""
-        world = MpiWorld(rank_gcds=[0, 1, 2, 3])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1, 2, 3])
 
         def main(ctx):
             send = ctx.hip.malloc(64 * KiB)
@@ -56,7 +57,7 @@ class TestDeadlockDetection:
 
     def test_blocking_self_send_deadlocks(self):
         """A blocking rendezvous send to self with no posted recv."""
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(1 * MiB)  # above the eager threshold
@@ -70,7 +71,7 @@ class TestDeadlockDetection:
 
 class TestErrorPropagation:
     def test_rank_exception_surfaces(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             if ctx.rank == 1:
@@ -83,7 +84,7 @@ class TestErrorPropagation:
 
     def test_root_mismatch_is_a_hang_not_corruption(self):
         """Ranks disagreeing on the broadcast root deadlock cleanly."""
-        world = MpiWorld(rank_gcds=[0, 1, 2, 3])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1, 2, 3])
 
         def main(ctx):
             buf = ctx.hip.malloc(64 * KiB)
@@ -96,7 +97,7 @@ class TestErrorPropagation:
 
 class TestResourceDiscipline:
     def test_many_iterations_do_not_leak_device_memory(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             send = ctx.hip.malloc(1 * MiB)
@@ -109,7 +110,7 @@ class TestResourceDiscipline:
         assert all(world.run(main))
 
     def test_ipc_cache_grows_once_per_buffer_peer(self):
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
 
         def main(ctx):
             buf = ctx.hip.malloc(64 * KiB)

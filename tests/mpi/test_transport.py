@@ -85,7 +85,7 @@ class TestPlanning:
 class TestMixedEndToEnd:
     def test_host_to_device_message(self):
         """A rank sending from host memory into a peer's device buffer."""
-        world = MpiWorld(rank_gcds=[0, 1])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1])
         size = 256 * MiB
 
         def main(ctx):
@@ -106,7 +106,7 @@ class TestMixedEndToEnd:
         assert to_gbps(rate) == pytest.approx(28.3, rel=0.05)
 
     def test_host_to_host_message(self):
-        world = MpiWorld(rank_gcds=[0, 4])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 4])
         size = 64 * MiB
 
         def main(ctx):

@@ -28,28 +28,28 @@ def latency(name, gcds, nbytes=1 * MiB, ring_builder=None):
 
 class TestCommunicator:
     def test_default_communicator_spans_node(self):
-        comm = RcclCommunicator()
+        comm = RcclCommunicator(HardwareNode())
         assert comm.size == 8
         assert comm.ring is not None
 
     def test_single_gcd_has_no_ring(self):
-        comm = RcclCommunicator(gcds=[0])
+        comm = RcclCommunicator(HardwareNode(), gcds=[0])
         assert comm.ring is None
         assert "single" in comm.describe()
 
     def test_describe_reports_ring(self):
-        comm = RcclCommunicator(gcds=list(range(7)))
+        comm = RcclCommunicator(HardwareNode(), gcds=list(range(7)))
         text = comm.describe()
         assert "relayed" in text and "7 GCDs" in text
 
     def test_segment_rate_tiers(self):
-        comm = RcclCommunicator(gcds=[0, 1])
+        comm = RcclCommunicator(HardwareNode(), gcds=[0, 1])
         segment = comm.ring.segments[0]
         # quad link, kernel unidirectional: 0.88 × 200.
         assert comm.segment_rate(segment) == pytest.approx(176e9)
 
     def test_relayed_segment_rate_reduced(self):
-        comm = RcclCommunicator(gcds=list(range(7)))
+        comm = RcclCommunicator(HardwareNode(), gcds=list(range(7)))
         relayed = [s for s in comm.ring.segments if s.is_relayed][0]
         direct_rate = comm.calibration.kernel_remote_cap(
             comm.node.bottleneck_tier(relayed.route), bidirectional=False

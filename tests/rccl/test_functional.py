@@ -103,7 +103,7 @@ class TestBroadcastPayloads:
         values = [3, 11, 7, 20]
 
         # MPI result.
-        world = MpiWorld(rank_gcds=[0, 1, 2, 3])
+        world = MpiWorld(HardwareNode(), rank_gcds=[0, 1, 2, 3])
 
         def main(ctx):
             send = ctx.hip.malloc(size)

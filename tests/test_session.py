@@ -1,4 +1,4 @@
-"""The ``repro.Session`` facade: wiring, presets, deprecations."""
+"""The ``repro.Session`` facade: wiring, presets, removed spellings."""
 
 from __future__ import annotations
 
@@ -57,9 +57,17 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="unknown environment flag"):
             repro.Session(frobnicate=True)
 
+    @pytest.mark.parametrize(
+        "flag", ["trace", "metrics", "spans", "trace_capacity", "metrics_capacity"]
+    )
+    def test_flat_obs_kwarg_rejected(self, flag):
+        """The pre-ObsConfig spellings are unknown environment flags now."""
+        with pytest.raises(ConfigurationError, match="unknown environment flag"):
+            repro.Session(**{flag: True})
+
     def test_no_deprecation_warnings_emitted(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             session = repro.Session(obs=repro.ObsConfig(trace=True))
             session.mpi_world([0, 1])
             session.rccl_communicator([0, 1])
@@ -147,38 +155,36 @@ class TestBlessedSurface:
 
 
 class TestDeprecatedPaths:
-    def test_implicit_hip_runtime_warns_but_works(self):
+    """The removed pre-Session spellings fail instead of warning."""
+
+    def test_hip_runtime_requires_a_node(self):
         from repro.hip.runtime import HipRuntime
 
-        with pytest.warns(DeprecationWarning, match="repro.Session"):
-            hip = HipRuntime()
-        assert hip.device_count() == 8
+        with pytest.raises(TypeError, match="node"):
+            HipRuntime()
 
-    def test_implicit_mpi_world_warns_but_works(self):
+    def test_mpi_world_requires_a_node(self):
         from repro.mpi.comm import MpiWorld
 
-        with pytest.warns(DeprecationWarning, match="repro.Session"):
-            world = MpiWorld(rank_gcds=[0, 1])
-        assert world.size == 2
+        with pytest.raises(TypeError, match="node"):
+            MpiWorld(rank_gcds=[0, 1])
 
-    def test_implicit_rccl_communicator_warns_but_works(self):
+    def test_rccl_communicator_requires_a_node(self):
         from repro.rccl.communicator import RcclCommunicator
 
-        with pytest.warns(DeprecationWarning, match="repro.Session"):
-            comm = RcclCommunicator(gcds=[0, 1])
-        assert comm.size == 2
+        with pytest.raises(TypeError, match="node"):
+            RcclCommunicator(gcds=[0, 1])
 
-    def test_frontier_hardware_warns_but_works(self):
-        from repro.hardware.node import frontier_hardware
+    def test_frontier_hardware_is_gone(self):
+        import repro.hardware.node
 
-        with pytest.warns(DeprecationWarning, match="repro.Session"):
-            node = frontier_hardware()
-        assert node.num_gcds == 8
+        assert not hasattr(repro.hardware.node, "frontier_hardware")
+        assert not hasattr(repro, "frontier_hardware")
 
     def test_explicit_node_does_not_warn(self):
         from repro.hip.runtime import HipRuntime
 
         session = repro.Session()
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             HipRuntime(session.node, session.env)
