@@ -54,16 +54,21 @@ class TestConstruction:
             repro.Session(env=SimEnvironment(), xnack_enabled=True)
 
     def test_unknown_env_flag_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown environment flag"):
-            repro.Session(frobnicate=True)
-
-    @pytest.mark.parametrize(
-        "flag", ["trace", "metrics", "spans", "trace_capacity", "metrics_capacity"]
-    )
-    def test_flat_obs_kwarg_rejected(self, flag):
-        """The pre-ObsConfig spellings are unknown environment flags now."""
-        with pytest.raises(ConfigurationError, match="unknown environment flag"):
-            repro.Session(**{flag: True})
+        # The flat observation kwargs are plain unknown flags: obs=ObsConfig
+        # is their only spelling.
+        for flag in (
+            "frobnicate",
+            "trace",
+            "metrics",
+            "spans",
+            "trace_capacity",
+            "metrics_capacity",
+        ):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"unknown environment flag\(s\) \['{flag}'\]",
+            ):
+                repro.Session(**{flag: True})
 
     def test_no_deprecation_warnings_emitted(self):
         with warnings.catch_warnings():
