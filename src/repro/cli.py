@@ -20,9 +20,10 @@ Commands
 ``cache``
     Inspect (``show``) or empty (``clear``) the on-disk result cache.
 ``trace <artifact> --out trace.json``
-    Run one artifact observed and export a Perfetto/Chrome trace
-    (slices per GCD/engine/collective, per-link GB/s counter tracks,
-    provenance in ``otherData``).
+    Run one artifact with causal spans on and export a Perfetto/Chrome
+    trace: one slice per span (per-GCD, per-copy-kind and per-collective
+    tracks, blame in the slice args, causality arrows), per-link GB/s
+    counter tracks, provenance in ``otherData``.
 ``report <artifact> [-o report.html] [--json report.json]``
     Run one artifact with causal spans on and write a self-contained
     run report: critical-path blame table, per-link utilization,
@@ -89,6 +90,19 @@ def _jobs_arg(value: str) -> int | str:
         raise argparse.ArgumentTypeError(
             f"jobs must be an integer or 'auto', got {value!r}"
         ) from None
+
+
+def _positive_int_arg(value: str) -> int:
+    """An integer of at least 1 (``--trace-capacity``)."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value!r}"
+        )
+    return number
 
 
 # Shared option vocabularies, as argparse parent parsers.  Every sweep
@@ -340,10 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--trace-capacity",
-        type=int,
+        type=_positive_int_arg,
         default=None,
         metavar="N",
-        help="ring-buffer bound on retained records per point",
+        help="keep only the N most recently finished spans per point",
     )
     trace.add_argument(
         "--check",

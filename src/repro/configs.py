@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -27,16 +29,20 @@ class ObsConfig:
     Parameters mirror the observability stack one-to-one:
 
     trace:
-        Enable the timeline tracer.
+        Enable the timeline tracer.  Timeline records are finished
+        causal spans, so tracing also records spans (the session's
+        span recorder is switched on and the tracer attached to it).
     trace_capacity:
-        Optional tracer ring-buffer bound (newest records win).
+        Optional tracer ring-buffer bound (newest records win): an int
+        of at least 1.
     metrics:
         ``True`` for a fresh enabled
         :class:`~repro.obs.metrics.MetricsRegistry`, an existing
         registry to share across sessions, or ``False``/``None`` for
         the near-zero-cost null registry.
     metrics_capacity:
-        Per-series sample-ring bound for a ``metrics=True`` registry.
+        Per-series sample-ring bound for a ``metrics=True`` registry:
+        an int of at least 0.
     spans:
         ``True`` for a fresh :class:`~repro.obs.spans.SpanRecorder`
         (causal spans + bottleneck attribution), an existing recorder,
@@ -48,6 +54,17 @@ class ObsConfig:
     metrics: Any = None
     metrics_capacity: int | None = None
     spans: Any = None
+
+    def __post_init__(self) -> None:
+        for name, minimum in (("trace_capacity", 1), ("metrics_capacity", 0)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ConfigurationError(
+                    f"ObsConfig.{name} must be an int >= {minimum} or None, "
+                    f"got {value!r}"
+                )
 
     @property
     def enabled(self) -> bool:

@@ -62,28 +62,26 @@ class HardwareNode:
             calibration if calibration is not None else DEFAULT_CALIBRATION
         )
         # Observation plumbing: an ambient capture donates its shared
-        # registry, tracer, and span recorder.
+        # registry and span recorder, and with the recorder its tracer.
         ambient = context.obs
-        tracer: Tracer | None = None
         if metrics is None and ambient is not None:
             self.metrics = ambient.metrics
             ambient.adoptions += 1
-            if not trace and ambient.tracer.enabled:
-                tracer = ambient.tracer
         else:
             self.metrics = resolve_metrics(metrics, sample_capacity=metrics_capacity)
-        if spans is None and ambient is not None:
-            self.spans = ambient.spans
-        else:
-            self.spans = resolve_spans(spans)
+        adopted = spans is None and ambient is not None
+        self.spans = ambient.spans if adopted else resolve_spans(spans)
+        if trace and not self.spans.tracer:
+            # Finished spans are the timeline's only producer, so asking
+            # for a trace switches spans on and attaches a tracer — to a
+            # recorder of this node's own unless it was passed in.
+            if adopted or not self.spans:
+                self.spans = SpanRecorder()
+            self.spans.tracer = Tracer(enabled=True, capacity=trace_capacity)
+        self.tracer = self.spans.tracer if self.spans.tracer is not None else Tracer()
         self.engine = engine if engine is not None else SimEngine(metrics=self.metrics)
         self.network = FlowNetwork(
             self.engine, metrics=self.metrics, spans=self.spans
-        )
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(enabled=trace, capacity=trace_capacity)
         )
 
         register_link_channels(self.network, self.topology.links())

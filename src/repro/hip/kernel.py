@@ -139,10 +139,9 @@ class KernelApi:
         reads = list(reads)
         writes = list(writes)
         engine = self.node.engine
-        start = engine.now
         spans = self.node.spans
         span = (
-            spans.begin("kernel", label, start=start, device=device_index)
+            spans.begin("kernel", label, start=engine.now, device=device_index)
             if spans
             else None
         )
@@ -209,11 +208,6 @@ class KernelApi:
             yield engine.all_of([flow.done for flow in flows])
         if span is not None:
             spans.finish(span, engine.now)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.record(
-                start, engine.now, "kernel", label, device=device_index
-            )
         metrics = self.node.metrics
         if metrics:
             metrics.counter("hip/kernel_launches").inc()

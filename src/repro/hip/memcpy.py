@@ -184,11 +184,13 @@ class CopyApi:
             )
         if kind is MemcpyKind.DEFAULT:
             kind = self.resolve_kind(dst, src)
-        start = self.node.engine.now
         spans = self.node.spans
         span = (
             spans.begin(
-                "memcpy", f"memcpy:{kind.value}", start=start, bytes=nbytes
+                "memcpy",
+                f"memcpy:{kind.value}",
+                start=self.node.engine.now,
+                bytes=nbytes,
             )
             if spans
             else None
@@ -203,11 +205,6 @@ class CopyApi:
             dst.copy_payload_from(src, nbytes)
         if span is not None:
             spans.finish(span, self.node.engine.now)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.record(
-                start, self.node.engine.now, "memcpy", kind.value, bytes=nbytes
-            )
         metrics = self.node.metrics
         if metrics:
             metrics.counter(f"hip/memcpy/{kind.value}").inc()
@@ -254,13 +251,12 @@ class CopyApi:
                 "hipErrorInvalidValue",
                 f"peer copy of {nbytes} bytes exceeds a buffer",
             )
-        start = self.node.engine.now
         spans = self.node.spans
         span = (
             spans.begin(
                 "memcpy",
                 f"memcpy_peer:{src_device}->{dst_device}",
-                start=start,
+                start=self.node.engine.now,
                 bytes=nbytes,
                 src=src_device,
                 dst=dst_device,
@@ -306,16 +302,6 @@ class CopyApi:
             dst.copy_payload_from(src, nbytes)
         if span is not None:
             spans.finish(span, self.node.engine.now)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.record(
-                start,
-                self.node.engine.now,
-                "memcpy",
-                f"peer:{src_device}->{dst_device}",
-                bytes=nbytes,
-                route=route.describe(),
-            )
         metrics = self.node.metrics
         if metrics:
             metrics.counter("hip/memcpy/peer").inc()

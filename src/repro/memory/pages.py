@@ -322,22 +322,11 @@ class MigrationEngine:
                 span=span,
             )
             flows.append(flow)
-        start = self.node.now
         yield self.node.engine.all_of([f.done for f in flows])
         if span is not None:
             spans.finish(span, self.node.now)
         for first, stop, _ in runs:
             table.set_range(first, stop, target)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.record(
-                start,
-                self.node.now,
-                "fault",
-                "migrate-fluid",
-                pages=num_pages,
-                gcd=gcd_index,
-            )
         metrics = self.node.metrics
         if metrics:
             metrics.counter("memory/faults").inc()
@@ -353,13 +342,12 @@ class MigrationEngine:
         parent_span: "object" = None,
     ) -> Generator:
         """Page-at-a-time faults, serialized like the real retry loop."""
-        start = self.node.now
         spans = self.node.spans
         span = (
             spans.begin(
                 "fault",
                 "migrate-discrete",
-                start=start,
+                start=self.node.now,
                 parent=parent_span,
                 pages=len(pages),
                 gcd=gcd_index,
@@ -382,16 +370,6 @@ class MigrationEngine:
             table.migrate(page, target)
         if span is not None:
             spans.finish(span, self.node.now)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.record(
-                start,
-                self.node.now,
-                "fault",
-                "migrate-discrete",
-                pages=len(pages),
-                gcd=gcd_index,
-            )
         metrics = self.node.metrics
         if metrics:
             # Discrete mode services one fault per page.

@@ -6,21 +6,22 @@ than end-to-end numbers.  This package provides:
 
 - :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters,
   gauges, time-weighted series and per-channel transport accounting,
-  near-zero cost when disabled (``if metrics:`` guard, mirroring the
-  tracer);
+  near-zero cost when disabled (``if metrics:`` guard, mirroring
+  spans);
 - :func:`capture` (:mod:`repro.obs.capture`) — an ambient observation
   context so measurement functions that build their own sessions get
   instrumented without signature changes;
 - :class:`SpanRecorder` (:mod:`repro.obs.spans`) — causal spans with
   parent/child edges and per-interval bottleneck blame, fed by the
-  fair-share solver's attribution;
+  fair-share solver's attribution; finished spans are also the
+  timeline tracer's only records;
 - :mod:`repro.obs.attribution` — critical-path extraction over the
   span DAG and ranked "why was this slow" blame tables;
 - :mod:`repro.obs.report` — self-contained HTML/JSON run reports
   (``repro report`` / ``repro explain``);
-- :mod:`repro.obs.perfetto` — Chrome-trace/Perfetto JSON export of
-  tracer timelines plus channel-rate counter tracks, span slices with
-  causality flow-arrows, and provenance;
+- :mod:`repro.obs.perfetto` — Chrome-trace/Perfetto JSON export: one
+  slice per span with causality flow-arrows, channel-rate counter
+  tracks, and provenance;
 - :func:`trace_experiment` (:mod:`repro.obs.experiment`) — run one
   artifact observed and lay its points out on a single timeline.
 """

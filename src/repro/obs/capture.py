@@ -14,11 +14,13 @@ CLI installs an *ambient* :class:`ObservationContext`::
     records = ctx.tracer.records()
 
 While the context is active, every :class:`HardwareNode` constructed
-without explicit ``metrics=``/``trace=`` arguments adopts the
-context's shared registry and tracer, so metrics and timeline records
-from all sessions built inside the ``with`` block accumulate in one
-place.  Explicit arguments always win — a caller that asked for its
-own registry keeps it.
+without an explicit ``metrics=`` argument adopts the context's shared
+registry, and every one without an explicit ``spans=`` adopts its span
+recorder.  The context's tracer is attached to that recorder, so the
+timeline records from all sessions built inside the ``with`` block
+are their finished spans, accumulated in one place; a capture that
+traces therefore records spans too.  Explicit arguments always win — a
+caller that asked for its own registry, recorder or trace keeps it.
 
 The capture is the ``obs`` field of the ambient
 :class:`~repro.context.SimContext` — isolated per thread (and asyncio
@@ -59,7 +61,8 @@ class ObservationContext:
             ),
         )
         self.tracer = Tracer(enabled=trace, capacity=trace_capacity)
-        self.spans = SpanRecorder(enabled=spans)
+        self.spans = SpanRecorder(enabled=spans or trace)
+        self.spans.tracer = self.tracer
         #: How many HardwareNodes adopted this context.
         self.adoptions = 0
 

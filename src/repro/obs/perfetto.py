@@ -1,22 +1,24 @@
 """Chrome-trace (Perfetto) JSON export of simulator timelines.
 
-The :class:`~repro.sim.trace.Tracer` already records every transfer,
-kernel, fault and collective step; this module lays those records out
-in the `Chrome Trace Event Format
+Causal spans (see :mod:`repro.obs.spans`) are the simulator's record
+of every transfer, kernel, fault and collective step; this module lays
+them out in the `Chrome Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 so they load directly in `Perfetto <https://ui.perfetto.dev>`_ or
 ``chrome://tracing``:
 
-- every trace record becomes a complete (``"ph": "X"``) slice on a
-  track derived from the record — kernels and faults land on their
-  GCD's track, memcpys on a per-kind track, collectives on theirs;
+- every span becomes one complete (``"ph": "X"``) slice, carrying its
+  ``span_id``, blame and meta, on a track derived from the span —
+  kernels and faults land on their GCD's track, memcpys on a per-kind
+  track, collectives on theirs — and each parent → child edge becomes
+  a flow-event pair (``"ph": "s"``/``"f"``), which Perfetto draws as a
+  causality arrow between slices;
 - every flow-network channel with metric samples becomes a counter
   (``"ph": "C"``) track showing allocated GB/s over simulated time —
   the per-link utilization picture the paper's analysis rests on;
-- causal spans (see :mod:`repro.obs.spans`) become slices on their own
-  process row, one track per span category, with parent → child edges
-  rendered as flow events (``"ph": "s"``/``"f"`` pairs) — Perfetto
-  draws these as causality arrows between slices;
+- timeline records passed explicitly (e.g. a hand-filled
+  :class:`~repro.sim.trace.Tracer`) become slices on a row of their
+  own, under the same track rule;
 - ``otherData`` carries provenance (calibration/topology fingerprints,
   package version, git SHA), so a trace file is self-describing.
 
@@ -37,24 +39,55 @@ from .metrics import MetricsRegistry
 #: Chrome trace timestamps are microseconds; the simulator uses seconds.
 _US = 1e6
 
-#: pid of the slice tracks; counter and span tracks get their own
+#: pid of the record rows; counter and span tracks get their own
 #: process rows.
 _SIM_PID = 1
 _COUNTER_PID = 2
 _SPAN_PID = 3
 
 
-def _track_for(record: TraceRecord) -> str:
-    """Display track of one record (GCD if known, else its category)."""
-    detail = record.detail
-    device = detail.get("device", detail.get("gcd"))
+def _track_for(category: str, name: str, meta: Mapping[str, Any]) -> str:
+    """Display track of one slice (GCD if known, else its category)."""
+    device = meta.get("device", meta.get("gcd"))
     if device is not None:
-        return f"gcd{device}/{record.category}"
-    if record.category == "memcpy":
+        return f"gcd{device}/{category}"
+    if category == "memcpy":
         # Split peer copies from host copies so lanes stay readable.
-        kind = record.label.split(":", 1)[0]
+        kind = name.split(":", 1)[0]
         return f"memcpy/{kind}"
-    return record.category
+    return category
+
+
+def _process_name(pid: int, name: str) -> dict[str, Any]:
+    """Metadata event naming one process row."""
+    return {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": name}}
+
+
+def _track_ids(events: list[dict[str, Any]], pid: int, process: str):
+    """A ``track name -> tid`` lookup for one process row.
+
+    Names the row on its first track and each track on first use, so a
+    row without slices emits no metadata at all.
+    """
+    tids: dict[str, int] = {}
+
+    def tid(track: str) -> int:
+        if track not in tids:
+            if not tids:
+                events.append(_process_name(pid, process))
+            tids[track] = len(tids) + 1
+            events.append(
+                {
+                    "name": "thread_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": tids[track],
+                    "args": {"name": track},
+                }
+            )
+        return tids[track]
+
+    return tid
 
 
 def _json_safe(value: Any) -> Any:
@@ -100,37 +133,25 @@ def build_chrome_trace(
     spans: Iterable[Mapping[str, Any]] | None = None,
     provenance: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Assemble the Chrome-trace payload (a JSON-able dict)."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": _SIM_PID,
-            "args": {"name": "simulated timeline"},
-        }
-    ]
-    tracks: dict[str, int] = {}
+    """Assemble the Chrome-trace payload (a JSON-able dict).
+
+    ``spans`` (span dicts, see :meth:`repro.obs.spans.Span.as_dict`)
+    are the timeline; ``records`` is for timeline records that no span
+    produced — pass ``[]`` when the spans are given, or every finished
+    span is drawn twice.
+    """
+    events: list[dict[str, Any]] = []
+    track_id = _track_ids(events, _SIM_PID, "simulated timeline")
     for record in sorted(records, key=lambda r: (r.start, r.end)):
-        track = _track_for(record)
-        tid = tracks.get(track)
-        if tid is None:
-            tid = tracks[track] = len(tracks) + 1
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": _SIM_PID,
-                    "tid": tid,
-                    "args": {"name": track},
-                }
-            )
         events.append(
             {
                 "name": record.label,
                 "cat": record.category,
                 "ph": "X",
                 "pid": _SIM_PID,
-                "tid": tid,
+                "tid": track_id(
+                    _track_for(record.category, record.label, record.detail)
+                ),
                 "ts": record.start * _US,
                 "dur": record.duration * _US,
                 "args": {k: _json_safe(v) for k, v in record.detail.items()},
@@ -140,28 +161,11 @@ def build_chrome_trace(
     if metrics is not None:
         counter_events = _counter_events(metrics)
         if counter_events:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": _COUNTER_PID,
-                    "args": {"name": "channel rates"},
-                }
-            )
+            events.append(_process_name(_COUNTER_PID, "channel rates"))
             events.extend(counter_events)
 
     if spans is not None:
-        span_events = _span_events(spans)
-        if span_events:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": _SPAN_PID,
-                    "args": {"name": "causal spans"},
-                }
-            )
-            events.extend(span_events)
+        _span_events(spans, events)
 
     payload: dict[str, Any] = {
         "traceEvents": events,
@@ -219,39 +223,26 @@ def _counter_events(metrics: MetricsRegistry) -> list[dict[str, Any]]:
     return events
 
 
-def _span_events(spans: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
-    """Span slices plus parent → child causality flow arrows.
+def _span_events(
+    spans: Iterable[Mapping[str, Any]], events: list[dict[str, Any]]
+) -> None:
+    """Append span slices plus parent → child causality flow arrows.
 
-    One track per span category; each parent/child edge becomes an
-    ``"s"``/``"f"`` flow-event pair keyed by the child span's id, so
-    Perfetto draws an arrow from the parent slice to the child slice.
+    Each parent/child edge becomes an ``"s"``/``"f"`` flow-event pair
+    keyed by the child span's id, so Perfetto draws an arrow from the
+    parent slice to the child slice.
     """
     records = sorted(
         (dict(span) for span in spans),
         key=lambda s: (float(s["start"]), int(s["id"])),
     )
-    by_id = {int(span["id"]): span for span in records}
-    events: list[dict[str, Any]] = []
-    tracks: dict[str, int] = {}
-
-    def track_of(span: Mapping[str, Any]) -> int:
-        category = str(span.get("cat", "span"))
-        tid = tracks.get(category)
-        if tid is None:
-            tid = tracks[category] = len(tracks) + 1
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": _SPAN_PID,
-                    "tid": tid,
-                    "args": {"name": f"spans/{category}"},
-                }
-            )
-        return tid
-
+    track_id = _track_ids(events, _SPAN_PID, "causal spans")
+    tid_of: dict[int, int] = {}
     for span in records:
-        tid = track_of(span)
+        category = str(span.get("cat", "span"))
+        name = str(span.get("name", ""))
+        meta = span.get("meta") or {}
+        tid = tid_of[int(span["id"])] = track_id(_track_for(category, name, meta))
         start = float(span["start"])
         end = span.get("end")
         duration = (float(end) - start) if end is not None else 0.0
@@ -263,12 +254,12 @@ def _span_events(spans: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
             }
         if span.get("dropped"):
             args["dropped_intervals"] = span["dropped"]
-        for key, value in (span.get("meta") or {}).items():
+        for key, value in meta.items():
             args[key] = _json_safe(value)
         events.append(
             {
-                "name": str(span.get("name", "")),
-                "cat": str(span.get("cat", "span")),
+                "name": name,
+                "cat": category,
                 "ph": "X",
                 "pid": _SPAN_PID,
                 "tid": tid,
@@ -280,22 +271,17 @@ def _span_events(spans: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
 
     for span in records:
         parent_id = span.get("parent")
-        if parent_id is None:
-            continue
-        parent = by_id.get(int(parent_id))
-        if parent is None:
-            continue  # cross-point edge pruned by a merge
-        child_start = float(span["start"])
+        if parent_id is None or int(parent_id) not in tid_of:
+            continue  # a root, or a cross-point edge pruned by a merge
         flow = {
             "name": "causal",
             "cat": str(span.get("cat", "span")),
             "id": int(span["id"]),
             "pid": _SPAN_PID,
-            "ts": child_start * _US,
+            "ts": float(span["start"]) * _US,
         }
-        events.append({**flow, "ph": "s", "tid": track_of(parent)})
-        events.append({**flow, "ph": "f", "bp": "e", "tid": track_of(span)})
-    return events
+        events.append({**flow, "ph": "s", "tid": tid_of[int(parent_id)]})
+        events.append({**flow, "ph": "f", "bp": "e", "tid": tid_of[int(span["id"])]})
 
 
 def validate_chrome_trace(payload: Any) -> list[str]:

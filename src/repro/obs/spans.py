@@ -24,11 +24,22 @@ Design constraints, mirroring :mod:`repro.obs.metrics`:
 - **Picklable.**  :meth:`Span.as_dict` / :func:`merge_point_spans`
   round-trip spans as plain JSON-able dicts so pool workers can ship
   them back to the parent process.
+- **The timeline's only producer.**  A recorder may carry a
+  :class:`~repro.sim.trace.Tracer` (``recorder.tracer``); every
+  :meth:`SpanRecorder.finish` then appends the span's
+  ``(start, end, category, name, meta)`` as one timeline record, so
+  each operation is recorded once and the tracer is a ring-buffered
+  view over finished spans.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+
+from ..errors import SimulationError
+
+if TYPE_CHECKING:
+    from ..sim.trace import Tracer
 
 __all__ = [
     "DEFAULT_INTERVAL_CAPACITY",
@@ -170,6 +181,8 @@ class SpanRecorder:
         self.interval_capacity = int(interval_capacity)
         self._spans: list[Span] = []
         self._next_id = 0
+        #: Timeline tracer fed by :meth:`finish` (``None``: no timeline).
+        self.tracer: Tracer | None = None
 
     def __bool__(self) -> bool:
         return self.enabled
@@ -203,9 +216,23 @@ class SpanRecorder:
         return span
 
     def finish(self, span: Span | None, end: float) -> None:
-        """Close a span (no-op for the ``None`` a disabled begin returned)."""
-        if span is not None:
-            span.end = end
+        """Close a span and publish it to the attached tracer, if any.
+
+        A no-op for the ``None`` a disabled ``begin`` returned.  An
+        ``end`` before the span's start is a backwards clock and raises
+        :class:`~repro.errors.SimulationError`.
+        """
+        if span is None:
+            return
+        if end < span.start:
+            raise SimulationError(
+                f"span {span.name!r} ends at {end!r}, before its start "
+                f"{span.start!r}"
+            )
+        span.end = end
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(span.start, end, span.category, span.name, **span.meta)
 
     def spans(self) -> list[Span]:
         """All spans begun so far, in creation (= id) order."""
@@ -251,6 +278,7 @@ def merge_point_spans(
     per_point: Sequence[tuple[str, Sequence[Mapping[str, Any]]]],
     *,
     gap: float = POINT_GAP_SECONDS,
+    windows: Sequence[tuple[float, float]] | None = None,
 ) -> list[dict[str, Any]]:
     """Merge per-point span sets onto one artifact-level timeline.
 
@@ -261,11 +289,16 @@ def merge_point_spans(
     and span ids are remapped to stay unique.  The layout depends only
     on the input order, so merging worker results in point order makes
     the merged set identical for ``jobs=1`` and ``jobs=N``.
+
+    ``windows``, when given, holds one ``(start, end)`` per point on
+    that point's own clock that its slot must cover besides its spans
+    (the trace exporter passes each point's metric-sample extent, so
+    counter samples stay inside their point's slot).
     """
     merged: list[dict[str, Any]] = []
     next_id = 0
     cursor = 0.0
-    for label, raw_spans in per_point:
+    for index, (label, raw_spans) in enumerate(per_point):
         spans = [dict(span) for span in raw_spans]
         if spans:
             t0 = min(float(span["start"]) for span in spans)
@@ -275,6 +308,9 @@ def merge_point_spans(
             )
         else:
             t0 = t1 = 0.0
+        if windows is not None:
+            lo, hi = windows[index]
+            t0, t1 = min(t0, lo), max(t1, hi)
         shift = cursor - t0
 
         root_id = next_id

@@ -133,11 +133,10 @@ def _synchronized_steps(
     """Run ``num_steps`` ring steps; all segments active each step."""
     assert comm.ring is not None
     engine = comm.engine
-    start = engine.now
     spans = comm.node.spans
     collective_span = (
         spans.begin(
-            "rccl", f"rccl:{label}", start=start, steps=num_steps, chunk=chunk
+            "rccl", f"rccl:{label}", start=engine.now, steps=num_steps, chunk=chunk
         )
         if spans
         else None
@@ -164,11 +163,6 @@ def _synchronized_steps(
             spans.finish(step_span, engine.now)
     if collective_span is not None:
         spans.finish(collective_span, engine.now)
-    tracer = comm.node.tracer
-    if tracer.enabled:
-        tracer.record(
-            start, engine.now, "rccl", label, steps=num_steps, chunk=chunk
-        )
     metrics = comm.node.metrics
     if metrics:
         metrics.counter(f"rccl/{label}").inc()
@@ -251,10 +245,9 @@ def broadcast(
         return
     assert comm.ring is not None
     engine = comm.engine
-    start = engine.now
     spans = comm.node.spans
     collective_span = (
-        spans.begin("rccl", "rccl:broadcast", start=start, bytes=nbytes)
+        spans.begin("rccl", "rccl:broadcast", start=engine.now, bytes=nbytes)
         if spans
         else None
     )
@@ -299,9 +292,6 @@ def broadcast(
         for gcd, buffer in buffers.items():
             if gcd != root:
                 buffer.ensure_data()[:nbytes] = source
-    tracer = comm.node.tracer
-    if tracer.enabled:
-        tracer.record(start, engine.now, "rccl", "broadcast", bytes=nbytes)
     metrics = comm.node.metrics
     if metrics:
         metrics.counter("rccl/broadcast").inc()

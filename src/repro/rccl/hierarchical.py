@@ -69,13 +69,12 @@ def hierarchical_allreduce(
         return
 
     engine = comm.engine
-    start = engine.now
     spans = comm.node.spans
     collective_span = (
         spans.begin(
             "rccl",
             "rccl:hierarchical_allreduce",
-            start=start,
+            start=engine.now,
             islands=len(islands),
             bytes=nbytes,
         )
@@ -104,16 +103,6 @@ def hierarchical_allreduce(
 
     if collective_span is not None:
         spans.finish(collective_span, engine.now)
-    tracer = comm.node.tracer
-    if tracer.enabled:
-        tracer.record(
-            start,
-            engine.now,
-            "rccl",
-            "hierarchical_allreduce",
-            islands=len(islands),
-            bytes=nbytes,
-        )
     metrics = comm.node.metrics
     if metrics:
         metrics.counter("rccl/hierarchical_allreduce").inc()

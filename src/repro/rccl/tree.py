@@ -81,15 +81,15 @@ def _staged_edge_flows(
     listed segment moves its chunk concurrently (tree levels contend
     for links on the simulated fabric exactly like ring steps); then
     the per-step overhead — plus the relay penalty when any stage
-    segment is relayed — elapses.  Span, tracer and metrics bookkeeping
-    match :func:`repro.rccl.collectives._synchronized_steps`.
+    segment is relayed — elapses.  Span and metrics bookkeeping match
+    :func:`repro.rccl.collectives._synchronized_steps`; the finished
+    spans are also the collective's timeline records.
     """
     engine = comm.engine
     calibration = comm.calibration
-    start = engine.now
     spans = comm.node.spans
     collective_span = (
-        spans.begin("rccl", f"rccl:{label}", start=start, steps=len(stages))
+        spans.begin("rccl", f"rccl:{label}", start=engine.now, steps=len(stages))
         if spans
         else None
     )
@@ -123,9 +123,6 @@ def _staged_edge_flows(
             spans.finish(stage_span, engine.now)
     if collective_span is not None:
         spans.finish(collective_span, engine.now)
-    tracer = comm.node.tracer
-    if tracer.enabled:
-        tracer.record(start, engine.now, "rccl", label, steps=len(stages))
     metrics = comm.node.metrics
     if metrics:
         metrics.counter(f"rccl/{label}").inc()

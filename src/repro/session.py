@@ -489,16 +489,18 @@ class Session:
     ) -> dict[str, Any]:
         """Chrome-trace payload of this session's timeline.
 
-        Combines the tracer's records, counter tracks from the metrics
-        registry, span slices with causality flow-arrows (when span
-        recording is on), and provenance (calibration/topology
-        fingerprints, package version, git SHA).  With ``path``, also
-        writes the validated JSON file.
+        Combines span slices with causality flow-arrows (one per
+        operation, when span recording or tracing is on), counter
+        tracks from the metrics registry, and provenance
+        (calibration/topology fingerprints, package version, git SHA).
+        The tracer's records are those same finished spans, so they are
+        not drawn again.  With ``path``, also writes the validated JSON
+        file.
         """
         from . import obs
 
         payload = obs.build_chrome_trace(
-            self.node.tracer.records(),
+            [],
             metrics=self.node.metrics,
             spans=self.spans() if self.node.spans else None,
             provenance=obs.build_provenance(

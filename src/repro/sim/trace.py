@@ -6,12 +6,14 @@ transfer, kernel, fault and collective step can be recorded and dumped
 as a timeline, which the examples use to show *why* a placement or
 interface behaves the way it does.
 
-Tracing is designed to cost (near) nothing when disabled: hot call
-sites guard with ``if tracer:`` / ``if tracer.enabled:`` so that no
-:class:`TraceRecord` — and no argument tuple or detail dict — is ever
-constructed for a disabled tracer.  An enabled tracer can optionally
-run as a bounded ring buffer (``capacity=N``) so long sweeps keep only
-the most recent records instead of growing without bound.
+The simulator has one producer of timeline records: a finished causal
+span (:meth:`repro.obs.spans.SpanRecorder.finish`) appends one record
+to the tracer attached to its recorder, with the span's name as the
+label and its meta as the detail.  No runtime call site records on its
+own, so tracing costs nothing beyond span recording, and nothing at
+all when no tracer is attached.  An enabled tracer can optionally run
+as a bounded ring buffer (``capacity=N``) so long sweeps keep only the
+most recent records instead of growing without bound.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` entries; disabled by default.
 
-    A disabled tracer accepts records and drops them, so call sites
-    never *need* to branch — but hot paths should guard with
-    ``if tracer:`` (equivalent to ``tracer.enabled``) to avoid even
-    building the record's arguments.
+    A disabled tracer accepts records and drops them without building
+    a :class:`TraceRecord`; truthiness equals ``enabled``.
 
     ``capacity`` bounds retention: with a capacity, the tracer is a
     ring buffer keeping only the newest records; without one it keeps
@@ -75,7 +75,7 @@ class Tracer:
         self.dropped = 0
 
     def __bool__(self) -> bool:
-        """Truthiness == enabled, so call sites can ``if tracer:``."""
+        """Truthiness == enabled."""
         return self.enabled
 
     def record(

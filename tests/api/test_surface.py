@@ -56,6 +56,44 @@ class TestObsConfig:
         with pytest.raises(ConfigurationError, match="unknown environment flag"):
             api.Session(trace=True, obs=ObsConfig())
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trace_capacity": 0},
+            {"trace_capacity": -3},
+            {"trace_capacity": 2.5},
+            {"trace_capacity": True},
+            {"trace_capacity": "4"},
+            {"metrics_capacity": -1},
+            {"metrics_capacity": 2.5},
+            {"metrics_capacity": False},
+        ],
+    )
+    def test_bad_capacities_are_rejected_at_construction(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"ObsConfig.{field}"):
+            ObsConfig(trace=True, metrics=True, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trace_capacity": 1},
+            {"trace_capacity": None},
+            {"metrics_capacity": 0},
+            {"metrics_capacity": 64},
+        ],
+    )
+    def test_valid_capacities_are_accepted(self, kwargs):
+        with api.Session(obs=ObsConfig(trace=True, metrics=True, **kwargs)) as s:
+            s.run(s.hip.memcpy_peer(*_peer_pair(s)))
+            assert len(s.tracer) >= 1
+
+
+def _peer_pair(session):
+    src = session.hip.malloc(1 << 20, device=0)
+    dst = session.hip.malloc(1 << 20, device=1)
+    return dst, 1, src, 0
+
 
 class TestRunnerConfig:
     def test_session_runner_inherits_config(self, tmp_path):

@@ -77,6 +77,26 @@ class TestAmbientCapture:
         assert second.node.metrics is ctx.metrics
         assert first.node.tracer is ctx.tracer
 
+    def test_tracer_follows_the_span_recorder(self):
+        from repro.obs import NULL_SPANS
+
+        with capture() as ctx:
+            # The recorder is adopted, so its tracer comes with it —
+            # also for a node that brought its own registry.
+            own_metrics = repro.Session(obs=repro.ObsConfig(metrics=True))
+        assert ctx.spans.enabled and ctx.spans.tracer is ctx.tracer
+        assert own_metrics.node.spans is ctx.spans
+        assert own_metrics.node.tracer is ctx.tracer
+        with capture(trace=False, spans=True) as quiet:
+            traced = repro.Session(obs=repro.ObsConfig(trace=True))
+        # Asking for a trace under a capture that does not trace gives
+        # the node a recorder and tracer of its own.
+        assert traced.node.spans is not quiet.spans
+        assert traced.node.tracer.enabled
+        assert traced.node.spans.tracer is traced.node.tracer
+        assert quiet.spans.tracer is quiet.tracer and not quiet.tracer
+        assert NULL_SPANS.tracer is None
+
     def test_explicit_arguments_beat_the_context(self):
         with capture() as ctx:
             own = repro.Session(obs=repro.ObsConfig(metrics=True))

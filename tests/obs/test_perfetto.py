@@ -226,10 +226,19 @@ class TestSpanExport:
         assert copy["args"]["blame_us"]["link/a:fwd"] == pytest.approx(200.0)
 
     def test_span_tracks_grouped_by_category(self):
-        payload = build_chrome_trace([], spans=self._spans())
+        from repro.obs import SpanRecorder
+
+        recorder = SpanRecorder()
+        kernel = recorder.begin("kernel", "copy", start=0.0, device=3)
+        recorder.finish(kernel, 1e-4)
+        spans = self._spans() + [
+            {**span, "id": 10 + span["id"]} for span in recorder.as_dicts()
+        ]
+        payload = build_chrome_trace([], spans=spans)
         names = {
             e["args"]["name"]
             for e in payload["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert {"spans/mpi", "spans/flow"} <= names
+        # The record track rule: a GCD track when the meta names one.
+        assert names == {"mpi", "flow", "gcd3/kernel"}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.obs.spans import (
     DEFAULT_INTERVAL_CAPACITY,
     NULL_SPANS,
@@ -11,6 +12,7 @@ from repro.obs.spans import (
     resolve_spans,
     span_dicts,
 )
+from repro.sim.trace import Tracer
 
 
 class TestSpanRecorder:
@@ -41,6 +43,36 @@ class TestSpanRecorder:
         recorder = SpanRecorder()
         span = recorder.begin("rccl", "all_reduce", start=0.0, bytes=4096)
         assert span.meta == {"bytes": 4096}
+
+    def test_finish_before_start_is_a_backwards_clock(self):
+        recorder = SpanRecorder()
+        span = recorder.begin("memcpy", "copy", start=1.0)
+        with pytest.raises(SimulationError, match="before its start"):
+            recorder.finish(span, 0.5)
+        assert span.end is None
+        recorder.finish(span, 1.0)  # a zero-length span is fine
+        assert span.duration == 0.0
+
+    def test_finish_publishes_one_record_to_the_attached_tracer(self):
+        recorder = SpanRecorder()
+        recorder.tracer = Tracer(enabled=True, capacity=2)
+        for i in range(3):
+            span = recorder.begin("kernel", f"k{i}", start=float(i), device=i)
+            recorder.finish(span, i + 0.5)
+        records = recorder.tracer.records()
+        assert [(r.start, r.end, r.category, r.label) for r in records] == [
+            (1.0, 1.5, "kernel", "k1"),
+            (2.0, 2.5, "kernel", "k2"),
+        ]
+        assert records[-1].detail == {"device": 2}
+        assert recorder.tracer.dropped == 1
+
+    def test_disabled_tracer_gets_nothing(self):
+        recorder = SpanRecorder()
+        recorder.tracer = Tracer(enabled=False)
+        recorder.finish(recorder.begin("kernel", "k", start=0.0), 1.0)
+        assert len(recorder.tracer) == 0
+        assert NULL_SPANS.tracer is None
 
     def test_resolve_spans(self):
         assert resolve_spans(None) is NULL_SPANS
@@ -146,6 +178,15 @@ class TestMergePointSpans:
     def test_merge_is_deterministic_in_input_order(self):
         points = [("p0", self._point(2)), ("p1", self._point(3, start=5.0))]
         assert merge_point_spans(points) == merge_point_spans(points)
+
+    def test_windows_widen_each_point_slot(self):
+        points = [("p0", self._point(1, start=0.2)), ("p1", self._point(1))]
+        merged = merge_point_spans(points, gap=0.5, windows=[(0.0, 1.0), (0.0, 0.0)])
+        roots = [s for s in merged if s["cat"] == "point"]
+        assert (roots[0]["start"], roots[0]["end"]) == (0.0, 1.0)
+        # The span keeps its offset inside the widened slot.
+        assert merged[1]["start"] == pytest.approx(0.2)
+        assert roots[1]["start"] == pytest.approx(1.5)
 
     def test_empty_point_still_gets_root(self):
         merged = merge_point_spans([("empty", [])])

@@ -207,6 +207,17 @@ class TestTraceCommand:
         assert code == 2
         assert "unknown artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("capacity", ["0", "-1", "2.5", "many"])
+    def test_bad_trace_capacity_exits_2(self, tmp_path, capsys, capacity):
+        out_path = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fig04", "--out", str(out_path), "--trace-capacity", capacity])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trace-capacity: must be a positive integer" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_trace_capacity_bounds_retention(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
         assert main(

@@ -1,9 +1,10 @@
 """Tracing must be near-free when disabled, bounded when ringed.
 
-The regression of record: every runtime-layer call site guards on
-``tracer.enabled`` before building kwargs or records, so a disabled
-tracer performs **no per-record allocation at all** — enforced here by
-making record construction explode and running traced code paths.
+The regression of record: no runtime-layer call site records on its
+own — finished spans feed the tracer attached to their recorder — so
+an untraced session performs **no per-record allocation at all**,
+enforced here by making record construction explode and running the
+runtime code paths.
 """
 
 from __future__ import annotations
