@@ -22,6 +22,27 @@ from typing import Any
 from .errors import ConfigurationError
 
 
+def check_capacities(
+    owner: str, trace_capacity: int | None, metrics_capacity: int | None
+) -> None:
+    """Raise :class:`ConfigurationError` for a bad observation bound.
+
+    Every constructor taking these bounds (``ObsConfig``, ``capture()``,
+    ``HardwareNode``) calls this, so a bad one fails before any run.
+    """
+    for name, value, minimum in (
+        ("trace_capacity", trace_capacity, 1),
+        ("metrics_capacity", metrics_capacity, 0),
+    ):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigurationError(
+                f"{owner}.{name} must be an int >= {minimum} or None, "
+                f"got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class ObsConfig:
     """What a :class:`~repro.session.Session` observes.
@@ -56,15 +77,7 @@ class ObsConfig:
     spans: Any = None
 
     def __post_init__(self) -> None:
-        for name, minimum in (("trace_capacity", 1), ("metrics_capacity", 0)):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise ConfigurationError(
-                    f"ObsConfig.{name} must be an int >= {minimum} or None, "
-                    f"got {value!r}"
-                )
+        check_capacities("ObsConfig", self.trace_capacity, self.metrics_capacity)
 
     @property
     def enabled(self) -> bool:

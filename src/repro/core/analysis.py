@@ -9,10 +9,9 @@ harness can assert them mechanically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ..errors import BenchmarkError
 
@@ -38,25 +37,43 @@ def cluster_tiers(
     Sorts values and cuts where consecutive values differ by more than
     ``rel_gap`` of the larger one.  Returns tiers in ascending order of
     center.  This is how "two bandwidth tiers" (Fig. 6c) and "three
-    bandwidth tiers" (Fig. 8) are detected.
+    bandwidth tiers" (Fig. 8) are detected.  Equal values keep their
+    input order within a tier.
     """
     if not values:
         raise BenchmarkError("cannot cluster an empty sequence")
     if any(v < 0 for v in values):
         raise BenchmarkError("tier clustering expects non-negative values")
-    order = np.argsort(values)
-    sorted_values = np.asarray(values, dtype=float)[order]
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, idx in zip(sorted_values[:-1], range(1, len(order))):
-        current = sorted_values[idx]
-        if prev > 0 and (current - prev) / max(current, prev) > rel_gap:
+    values = [float(v) for v in values]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    groups: list[list[int]] = [[order[0]]]
+    for prev, idx in zip(order, order[1:]):
+        low, current = values[prev], values[idx]
+        if low > 0 and (current - low) / max(current, low) > rel_gap:
             groups.append([])
-        groups[-1].append(int(order[idx]))
-    tiers = []
-    values_arr = np.asarray(values, dtype=float)
-    for group in groups:
-        tiers.append(Tier(float(values_arr[group].mean()), tuple(group)))
-    return tiers
+        groups[-1].append(idx)
+    return [
+        Tier(sum(values[i] for i in group) / len(group), tuple(group))
+        for group in groups
+    ]
+
+
+def _percentile(ascending: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (``q < 100``) of two or more ascending values.
+
+    Hyndman & Fan type 7: interpolates linearly between the two order
+    statistics around ``(n - 1) * q / 100`` as ``a + (b - a) * t``, or
+    ``b - (b - a) * (1 - t)`` when ``t >= 0.5``.  Those are the
+    operations of the usual array-library ``percentile`` default, so
+    the IQR fences match it bit for bit
+    (``tests/core/test_stdlib_ports.py``).
+    """
+    virtual = (len(ascending) - 1) * (q / 100)
+    lower = math.floor(virtual)
+    a, b = ascending[lower], ascending[lower + 1]
+    t = virtual - lower
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def detect_outliers_iqr(
@@ -65,11 +82,12 @@ def detect_outliers_iqr(
     """Indices of IQR outliers (the Fig. 6b latency outliers)."""
     if len(values) < 4:
         return []
-    arr = np.asarray(values, dtype=float)
-    q1, q3 = np.percentile(arr, [25, 75])
+    values = [float(v) for v in values]
+    ascending = sorted(values)
+    q1, q3 = _percentile(ascending, 25), _percentile(ascending, 75)
     iqr = q3 - q1
     lo, hi = q1 - factor * iqr, q3 + factor * iqr
-    return [i for i, v in enumerate(arr) if v < lo or v > hi]
+    return [i for i, v in enumerate(values) if v < lo or v > hi]
 
 
 def value_range(values: Sequence[float]) -> tuple[float, float]:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from ..errors import BenchmarkError
-from ..units import format_size, to_gbps, to_us
+from ..units import format_size, geometric_mean, to_gbps, to_us
 from .experiment import ExperimentResult
 
 
@@ -154,12 +152,12 @@ def geometric_summary(values: Sequence[float]) -> dict[str, float]:
     """min/max/mean/gmean summary of a series."""
     if not values:
         raise BenchmarkError("empty series")
-    arr = np.asarray(values, dtype=float)
+    values = [float(v) for v in values]
     out = {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
+        "min": min(values),
+        "max": max(values),
+        "mean": sum(values) / len(values),
     }
-    if (arr > 0).all():
-        out["gmean"] = float(np.exp(np.log(arr).mean()))
+    if out["min"] > 0:
+        out["gmean"] = geometric_mean(values)
     return out

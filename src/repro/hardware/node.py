@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Sequence
 
+from ..configs import check_capacities
 from ..context import active, resolve_default
 from ..core.calibration import CalibrationProfile, DEFAULT_CALIBRATION
 from ..errors import TopologyError
@@ -48,6 +49,7 @@ class HardwareNode:
         spans: "SpanRecorder | bool | None" = None,
         faults: "object | None" = None,
     ) -> None:
+        check_capacities("HardwareNode", trace_capacity, metrics_capacity)
         # Explicit arguments win; otherwise the ambient SimContext
         # (entered by `--topology`/`--algorithm` runs, `repro inject`,
         # `repro trace`/`--metrics` captures and sweep workers) donates

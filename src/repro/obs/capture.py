@@ -36,6 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..configs import check_capacities
 from ..context import use
 from ..sim.trace import Tracer
 from .metrics import DEFAULT_SAMPLE_CAPACITY, MetricsRegistry
@@ -54,6 +55,7 @@ class ObservationContext:
         metrics_capacity: int | None = None,
         spans: bool = False,
     ) -> None:
+        check_capacities("capture", trace_capacity, metrics_capacity)
         self.metrics = MetricsRegistry(
             enabled=metrics,
             sample_capacity=(

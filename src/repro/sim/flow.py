@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-import numpy as _np
-
 from ..errors import LinkDownError, SimulationError
 from .engine import Event, SimEngine, TimerHandle
 from .fairshare import FairshareSolver, FlowSpec
@@ -31,9 +29,6 @@ from .fairshare import FairshareSolver, FlowSpec
 #: Completion slop, in bytes: flows within this of zero are done.  Keeps
 #: float accumulation from scheduling infinitesimal residual transfers.
 _EPSILON_BYTES = 1e-6
-
-#: Initial slot-array capacity.
-_INITIAL_SLOTS = 64
 
 
 @dataclass
@@ -72,7 +67,10 @@ class Flow:
 
     ``done`` is an engine event that triggers (with the flow) when the
     last byte arrives.  ``rate`` is the currently allocated rate and is
-    only meaningful while the flow is active.
+    only meaningful while the flow is active.  ``remaining`` is current
+    as of the network's last advance (the last flow start, completion
+    or capacity change) and exactly 0.0 once complete; the flow counts
+    as done within ``threshold`` bytes of zero.
     """
 
     __slots__ = (
@@ -88,7 +86,7 @@ class Flow:
         "label",
         "span",
         "blame_key",
-        "slot",
+        "threshold",
     )
 
     def __init__(
@@ -113,8 +111,7 @@ class Flow:
         self.label = label
         self.span: "Any" = None
         self.blame_key = ""
-        #: Index into the network's slot arrays; -1 while unslotted.
-        self.slot = -1
+        self.threshold = _EPSILON_BYTES * max(1.0, size)
 
     @property
     def completed(self) -> bool:
@@ -159,12 +156,11 @@ class FlowNetwork:
     simulated time can advance.  The single pending completion alarm is
     cancelled (lazily, O(1)) whenever a rate change supersedes it.
 
-    Live per-flow state (remaining bytes, rate, completion threshold)
-    sits in NumPy float64 slot arrays, so each constant-rate interval
-    is one array statement; element-wise IEEE-754 operations, so the
-    result is bit-identical to a per-flow loop.  ``Flow.remaining`` on
-    in-flight flows is refreshed only when read through
-    :meth:`active_flows`, and is exact (0.0) on completion.
+    Each flow's live state (remaining bytes, rate, completion
+    threshold) has one copy, on its :class:`Flow`.  Every constant-rate
+    interval advances ``remaining -= rate * dt`` over the live flows,
+    so ``Flow.remaining`` is current as of the last advance and exact
+    (0.0) on completion.
 
     ``tests/sim/flow_oracle.py`` holds the reference this is
     differential-tested against: per-flow integration and a batch
@@ -189,10 +185,6 @@ class FlowNetwork:
         # zero-delay flush timer (see _defer_resolve).
         self._pending: dict[Hashable, float] | None = None
         self._flush_scheduled = False
-        self._slot_flows: list[Flow] = []
-        self._arr_remaining = _np.zeros(_INITIAL_SLOTS)
-        self._arr_rate = _np.zeros(_INITIAL_SLOTS)
-        self._arr_threshold = _np.zeros(_INITIAL_SLOTS)
         if metrics is None:
             from ..obs.metrics import NULL_METRICS
 
@@ -279,8 +271,6 @@ class FlowNetwork:
             for flow in failed:
                 del self._active[flow.flow_id]
                 updated.update(self._solver.remove_flow(flow.flow_id))
-                flow.remaining = float(self._arr_remaining[flow.slot])
-                self._slot_remove(flow)
                 flow.rate = 0.0
         channel.set_capacity(capacity)
         updated.update(
@@ -395,7 +385,6 @@ class FlowNetwork:
 
         self._advance_to_now()
         self._active[flow.flow_id] = flow
-        self._slot_add(flow)
         metrics = self._metrics
         if metrics:
             metrics.counter("network/flows_started").inc()
@@ -409,13 +398,12 @@ class FlowNetwork:
         return flow
 
     def active_flows(self) -> Sequence[Flow]:
-        """Flows currently in flight.
+        """Flows currently in flight, in start order.
 
-        Refreshes ``Flow.remaining`` from the slot arrays first, so
-        callers see values as of the last rate change.
+        Applies any deferred re-level first, so rates are current;
+        ``Flow.remaining`` is as of the network's last advance.
         """
         self.flush_pending()
-        self._sync_remaining()
         return list(self._active.values())
 
     def utilization(self, channel_id: Hashable) -> float:
@@ -442,53 +430,8 @@ class FlowNetwork:
 
     # -- internals -----------------------------------------------------------------
 
-    def _slot_add(self, flow: Flow) -> None:
-        """Assign the next free slot-array index to a new flow.
-
-        The completion threshold ``eps * max(1, size)`` is precomputed
-        here, so completion detection is one array comparison.
-        """
-        slots = self._slot_flows
-        slot = len(slots)
-        rem = self._arr_remaining
-        if slot >= len(rem):
-            grow = len(rem) * 2
-            self._arr_remaining = rem = _np.resize(rem, grow)
-            self._arr_rate = _np.resize(self._arr_rate, grow)
-            self._arr_threshold = _np.resize(self._arr_threshold, grow)
-        slots.append(flow)
-        flow.slot = slot
-        rem[slot] = flow.remaining
-        self._arr_rate[slot] = 0.0
-        self._arr_threshold[slot] = _EPSILON_BYTES * max(1.0, flow.size)
-
-    def _slot_remove(self, flow: Flow) -> None:
-        """Free a flow's slot, compacting by swapping the last slot in."""
-        slots = self._slot_flows
-        slot = flow.slot
-        last = len(slots) - 1
-        if slot != last:
-            moved = slots[last]
-            slots[slot] = moved
-            moved.slot = slot
-            self._arr_remaining[slot] = self._arr_remaining[last]
-            self._arr_rate[slot] = self._arr_rate[last]
-            self._arr_threshold[slot] = self._arr_threshold[last]
-        slots.pop()
-        flow.slot = -1
-
-    def _sync_remaining(self) -> None:
-        """Copy slot-array remaining-bytes back onto the flow objects."""
-        values = self._arr_remaining[: len(self._slot_flows)].tolist()
-        for flow, value in zip(self._slot_flows, values):
-            flow.remaining = value
-
     def _advance_to_now(self) -> None:
-        """Account for bytes moved since the last rate change.
-
-        Every live flow advances in one array statement: element-wise
-        float64 multiply-subtract, bit-identical to a per-flow loop.
-        """
+        """Account for bytes moved since the last rate change."""
         now = self.engine.now
         dt = now - self._last_update
         if dt < 0:
@@ -506,9 +449,8 @@ class FlowNetwork:
                     self._account_interval(self._last_update, dt)
                 if self._spans:
                     self._account_spans(self._last_update, dt)
-            n = len(self._slot_flows)
-            if n:
-                self._arr_remaining[:n] -= self._arr_rate[:n] * dt
+            for flow in self._active.values():
+                flow.remaining -= flow.rate * dt
         self._last_update = now
 
     def _account_interval(self, start: float, dt: float) -> None:
@@ -625,7 +567,6 @@ class FlowNetwork:
         # The solver tracked freeze reasons (spans on) during the
         # re-level that produced ``updated``; read them in place.
         bottlenecks = self._solver._bottlenecks if self._spans else None
-        arr_rate = self._arr_rate
         for flow_id, rate in updated.items():
             flow = active.get(flow_id)
             if flow is None:
@@ -635,16 +576,15 @@ class FlowNetwork:
                     f"flow {flow_id} starved (rate 0); check channel capacities"
                 )
             flow.rate = rate
-            arr_rate[flow.slot] = rate
             if bottlenecks is not None:
                 flow.blame_key = self._blame_key(bottlenecks.get(flow_id), flow)
         if keep_alarm:
             return
-        # Next completion: min over remaining/rate.  Division is
-        # element-wise and min is order-independent for the NaN-free
-        # operands here (rates are strictly positive).
-        n = len(self._slot_flows)
-        next_completion = float((self._arr_remaining[:n] / arr_rate[:n]).min())
+        # Next completion: min over remaining/rate (rates are strictly
+        # positive, so every operand is NaN-free).
+        next_completion = min(
+            flow.remaining / flow.rate for flow in active.values()
+        )
         next_completion = max(next_completion, 0.0)
         self._alarm = self.engine.schedule(next_completion, self._on_completion_alarm)
         self._alarm_at = self.engine.now + next_completion
@@ -670,13 +610,15 @@ class FlowNetwork:
     def _on_completion_alarm(self) -> None:
         self._alarm = None
         self._advance_to_now()
-        # Slot order is permuted by swap-compaction; sort by flow_id to
-        # recover creation order, so solver removals and done-event
-        # deliveries fire in a deterministic sequence.
-        n = len(self._slot_flows)
-        hits = _np.nonzero(self._arr_remaining[:n] <= self._arr_threshold[:n])[0]
-        finished = [self._slot_flows[i] for i in hits]
-        finished.sort(key=lambda flow: flow.flow_id)
+        # ``_active`` iterates in flow-id (creation) order: ids come
+        # from one counter and ``transfer`` is the only insertion, so
+        # solver removals and done-event deliveries fire in a
+        # deterministic sequence.
+        finished = [
+            flow
+            for flow in self._active.values()
+            if flow.remaining <= flow.threshold
+        ]
         if not finished:
             # Rounding pushed the completion infinitesimally later;
             # rescheduling from the fresh state converges.
@@ -688,7 +630,6 @@ class FlowNetwork:
         for flow in finished:
             del self._active[flow.flow_id]
             updated.update(self._solver.remove_flow(flow.flow_id))
-            self._slot_remove(flow)
             flow.remaining = 0.0
             flow.rate = 0.0
             flow.finish_time = self.engine.now

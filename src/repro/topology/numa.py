@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ..errors import TopologyError
 from .node import NodeTopology
 
@@ -76,8 +74,8 @@ class NumaMap:
         return dict(enumerate(self.gcd_to_numa))
 
 
-def numa_distance_matrix(num_domains: int) -> np.ndarray:
-    """SLIT-style distance matrix for a single-socket node.
+def numa_distance_matrix(num_domains: int) -> tuple[tuple[int, ...], ...]:
+    """SLIT-style distance matrix for a single-socket node, row by row.
 
     All off-diagonal distances are equal — the property responsible for
     the paper's finding that NUMA-mismatched placement does not hurt
@@ -85,9 +83,13 @@ def numa_distance_matrix(num_domains: int) -> np.ndarray:
     """
     if num_domains < 1:
         raise TopologyError("need at least one NUMA domain")
-    matrix = np.full((num_domains, num_domains), _REMOTE_DISTANCE, dtype=np.int64)
-    np.fill_diagonal(matrix, _LOCAL_DISTANCE)
-    return matrix
+    return tuple(
+        tuple(
+            _LOCAL_DISTANCE if i == j else _REMOTE_DISTANCE
+            for j in range(num_domains)
+        )
+        for i in range(num_domains)
+    )
 
 
 def interleave_placement(

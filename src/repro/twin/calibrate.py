@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..context import resolve_default as resolve_default_topology
 from ..core.calibration import CalibrationProfile, DEFAULT_CALIBRATION
 from ..errors import CalibrationError, TelemetryError
@@ -74,16 +72,16 @@ class _Objective:
     ) -> None:
         self.records = records
         self.topology = topology
-        self.measured = np.array([r.duration for r in records], dtype=float)
-        self.weights = self.measured.copy()
-        self.weight_sum = float(self.weights.sum())
+        #: Measured durations, which are also the residual weights.
+        self.measured = [float(r.duration) for r in records]
+        self.weight_sum = math.fsum(self.measured)
         self.evaluations = 0
 
-    def residuals(self, profile: CalibrationProfile) -> np.ndarray:
+    def residuals(self, profile: CalibrationProfile) -> list[float]:
         self.evaluations += 1
         memo: dict[tuple[str, tuple], float] = {}
-        predicted = np.empty(len(self.records), dtype=float)
-        for i, record in enumerate(self.records):
+        residuals = []
+        for record, measured in zip(self.records, self.measured):
             key = (record.kind, record.fields)
             value = memo.get(key)
             if value is None:
@@ -92,12 +90,14 @@ class _Objective:
                 )
                 value = predicted_duration(record, point.execute())
                 memo[key] = value
-            predicted[i] = value
-        return (predicted - self.measured) / self.measured
+            residuals.append((value - measured) / measured)
+        return residuals
 
     def __call__(self, profile: CalibrationProfile) -> float:
         residuals = self.residuals(profile)
-        return float(np.sum(self.weights * residuals * residuals))
+        return math.fsum(
+            weight * r * r for weight, r in zip(self.measured, residuals)
+        )
 
     def rms(self, objective_value: float) -> float:
         """Weighted RMS relative residual for an objective value."""

@@ -8,6 +8,8 @@ import repro
 import repro.api as api
 from repro.configs import ObsConfig, RunnerConfig
 from repro.errors import ConfigurationError
+from repro.hardware.node import HardwareNode
+from repro.obs import capture
 
 
 class TestSurface:
@@ -73,6 +75,15 @@ class TestObsConfig:
         (field,) = kwargs
         with pytest.raises(ConfigurationError, match=f"ObsConfig.{field}"):
             ObsConfig(trace=True, metrics=True, **kwargs)
+        # The same bounds reach the simulator through an ambient
+        # capture and through a hand-built node; both refuse them up
+        # front instead of failing mid-run (metrics ring maxlen) or
+        # with a bare ValueError (tracer capacity).
+        with pytest.raises(ConfigurationError, match=f"capture.{field}"):
+            with capture(**kwargs):
+                pass
+        with pytest.raises(ConfigurationError, match=f"HardwareNode.{field}"):
+            HardwareNode(trace=True, metrics=True, **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -146,6 +146,7 @@ class TestNetworkSetCapacity:
     def test_zero_capacity_fails_crossing_flows_and_speeds_survivors(self):
         engine, network = self._network()
         outcomes = {}
+        flows = {}
 
         def watch(name, flow):
             try:
@@ -157,7 +158,7 @@ class TestNetworkSetCapacity:
         def scenario():
             # Both flows share "a"; the victim also crosses "b".
             survivor = network.transfer(["a"], 500.0)
-            victim = network.transfer(["a", "b"], 500.0)
+            victim = flows["victim"] = network.transfer(["a", "b"], 500.0)
             engine.process(watch("survivor", survivor))
             engine.process(watch("victim", victim))
             yield engine.timeout(1.0)
@@ -168,6 +169,10 @@ class TestNetworkSetCapacity:
         engine.process(scenario())
         engine.run()
         assert outcomes["victim"] == ("failed", pytest.approx(1.0))
+        # A failed flow keeps the bytes it had left when the link died
+        # (50 B/s for 1 s) and holds no rate.
+        assert flows["victim"].remaining == 450.0
+        assert flows["victim"].rate == 0.0
         assert outcomes["survivor"][0] == "done"
         # 50 B/s for 1 s shared, then 100 B/s for the remaining 450 B.
         assert outcomes["survivor"][1] == pytest.approx(1.0 + 450.0 / 100.0)
