@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m repro perf -o BENCH_core.json
+	$(PYTHON) -m repro perf --json BENCH_core.json
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 reports:

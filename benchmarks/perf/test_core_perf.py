@@ -1,15 +1,26 @@
 """Smoke harness for the simulation-core perf suite.
 
 Runs the scaled-down suite and checks the report shape plus basic
-sanity (positive throughputs, near-free disabled observability).  Full-scale numbers are produced by ``make bench`` /
-``repro perf -o BENCH_core.json``.
+sanity (positive throughputs, near-free disabled observability), and
+pins ``check_bench.py`` against the floor table.  Full-scale numbers
+are produced by ``make bench`` / ``repro perf --json BENCH_core.json``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from repro.perf.core import format_report, run_suite, write_report
+import pytest
+
+import check_bench
+from repro.perf.core import (
+    HEADLINE_SPEC,
+    SCHEMA,
+    format_report,
+    run_suite,
+    write_report,
+)
 
 
 def test_smoke_suite_shape_and_sanity(tmp_path):
@@ -158,76 +169,104 @@ def test_cli_perf_smoke(tmp_path, capsys):
     from repro.cli import main
 
     out = tmp_path / "bench.json"
-    assert main(["perf", "--smoke", "-o", str(out)]) == 0
-    assert out.exists()
+    assert main(["perf", "--smoke", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["schema"] == SCHEMA
     assert "simulation-core performance" in capsys.readouterr().out
 
 
-def _guard_report(events=100_000.0, churn=20_000.0, platform="test-box"):
+def _guard_report(platform="test-box", **headline):
+    """A full ``/9`` report whose every floor passes with room to spare.
+
+    Each headline sits at twice a ``>=`` bound or half a ``<=`` bound
+    (1.0 where there is no floor); keyword arguments override values.
+    """
+    values = {}
+    for key, _section, _field, floor, _baseline in HEADLINE_SPEC:
+        if floor is None:
+            values[key] = 1.0
+        else:
+            comparator, bound = floor
+            values[key] = bound * 2 if comparator == ">=" else bound / 2
+    values.update(events_per_second=100_000.0, churn_flows_per_second=20_000.0)
+    values.update(headline)
+    results = {}
+    for key, section, field, _floor, _baseline in HEADLINE_SPEC:
+        results.setdefault(section, {})[field] = values[key]
+    results["sweep_parallel"].update(jobs=2, parallel_fallbacks=0)
     return {
-        "schema": "repro-bench-core/3",
+        "schema": SCHEMA,
         "smoke": False,
-        "results": {"sweep_parallel": {"jobs": 1, "parallel_fallbacks": 0}},
-        "headline": {
-            "events_per_second": events,
-            "churn_flows_per_second": churn,
-            "cache_hit_speedup": 10.0,
-            "metrics_disabled_overhead": 0.01,
-        },
+        "results": results,
+        "headline": values,
         "meta": {"platform": platform},
     }
 
 
+_FLOORS = [
+    (key, floor) for key, _s, _f, floor, _b in HEADLINE_SPEC if floor is not None
+]
+
+
+def test_every_headline_with_a_floor_is_checked():
+    assert len(_FLOORS) == 10
+    assert check_bench.check(_guard_report()) == []
+
+
+@pytest.mark.parametrize("key, floor", _FLOORS, ids=[key for key, _ in _FLOORS])
+def test_floor_from_the_table(key, floor):
+    comparator, bound = floor
+    assert check_bench.check(_guard_report(**{key: bound})) == []
+
+    past = math.nextafter(bound, -math.inf if comparator == ">=" else math.inf)
+    failures = check_bench.check(_guard_report(**{key: past}))
+    assert len(failures) == 1 and failures[0].startswith(f"{key} ")
+
+    report = _guard_report()
+    del report["headline"][key]
+    assert check_bench.check(report) == [f"{key} missing from the report"]
+
+
+def test_only_report_skips_sections_left_out(capsys):
+    report = _guard_report()
+    report["results"] = {"engine_events": report["results"]["engine_events"]}
+    report["headline"] = {"events_per_second": 100_000.0}
+    report["only"] = ["engine_events"]
+    assert check_bench.check(report) == []
+    skipped = capsys.readouterr().out.count("left out by --only")
+    assert skipped == len(_FLOORS)
+
+
+def test_serial_sweep_parallel_is_skipped(capsys):
+    report = _guard_report()
+    report["results"]["sweep_parallel"].update(jobs=1, speedup=None)
+    del report["headline"]["sweep_parallel_speedup"]
+    assert check_bench.check(report) == []
+    assert "skip: sweep_parallel check (jobs=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("schema", ["repro-bench-core/8", "repro-bench-core/10", ""])
+def test_other_schemas_exit_2(schema, tmp_path):
+    path = tmp_path / "report.json"
+    report = _guard_report()
+    report["schema"] = schema
+    path.write_text(json.dumps(report))
+    assert check_bench.main(["check_bench.py", str(path)]) == 2
+
+
 class TestCheckBenchBaseline:
     def _check(self, report, baseline):
-        import check_bench
-
         return check_bench.check_baseline(report, baseline)
 
     def test_within_tolerance_passes(self):
-        report = _guard_report(events=96_000.0)  # 4% below baseline
+        report = _guard_report(events_per_second=96_000.0)  # 4% below
         assert self._check(report, _guard_report()) == []
 
     def test_regression_beyond_tolerance_fails(self):
-        report = _guard_report(events=90_000.0)  # 10% below baseline
+        report = _guard_report(events_per_second=90_000.0)  # 10% below
         failures = self._check(report, _guard_report())
         assert len(failures) == 1
         assert "events_per_second" in failures[0]
 
     def test_platform_mismatch_skips(self):
-        report = _guard_report(events=1.0, platform="other-box")
+        report = _guard_report(platform="other-box", events_per_second=1.0)
         assert self._check(report, _guard_report()) == []
-
-    def test_overhead_guard_in_main_check(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["metrics_disabled_overhead"] = 0.2
-        failures = check_bench.check(report)
-        assert any("metrics_disabled_overhead" in f for f in failures)
-
-    def test_span_overhead_guard_in_main_check(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["spans_disabled_overhead"] = 0.2
-        failures = check_bench.check(report)
-        assert any("spans_disabled_overhead" in f for f in failures)
-
-    def test_epoch_floor_guard_in_main_check(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["epoch_events_per_second"] = 1000.0
-        failures = check_bench.check(report)
-        assert any("epoch_events_per_second" in f for f in failures)
-
-    def test_serve_floor_guards_in_main_check(self):
-        import check_bench
-
-        report = _guard_report()
-        report["headline"]["serve_requests_per_second"] = 0.5
-        report["headline"]["serve_whatif_p99_ms"] = 10_000_000.0
-        failures = check_bench.check(report)
-        assert any("serve_requests_per_second" in f for f in failures)
-        assert any("serve_whatif_p99_ms" in f for f in failures)

@@ -16,7 +16,7 @@ Commands
     List the what-if scenarios available for ablations.
 ``perf``
     Benchmark the simulation core itself (events/sec, flow churn,
-    figure-sweep wall time); ``-o BENCH_core.json`` writes the report.
+    figure-sweep wall time); ``--json BENCH_core.json`` writes the report.
 ``cache``
     Inspect (``show``) or empty (``clear``) the on-disk result cache.
 ``trace <artifact> --out trace.json``
@@ -675,19 +675,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scaled-down run for CI smoke checks (~seconds)",
     )
     perf.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="also write the full JSON report (e.g. BENCH_core.json)",
-    )
-    perf.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="best-of repetitions per microbenchmark (default: 3, smoke: 1)",
-    )
-    perf.add_argument(
         "--only",
         action="append",
         default=None,
@@ -967,15 +954,13 @@ def _cmd_scenarios() -> int:
 
 def _cmd_perf(
     smoke: bool,
-    output: str | None,
-    repeats: int | None,
     only: list[str] | None = None,
     json_out: str | None = None,
 ) -> int:
     from .perf.core import format_report, run_suite, write_report
 
     try:
-        report = run_suite(smoke=smoke, repeats=repeats, only=only)
+        report = run_suite(smoke=smoke, only=only)
     except ValueError as exc:  # unknown --only name
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -988,10 +973,6 @@ def _cmd_perf(
         if json_out is not None:
             write_report(json_out, report)
             print(f"\nwrote {json_out}")
-    if output is not None:
-        write_report(output, report)
-        if json_out != "-":
-            print(f"wrote {output}")
     return 0
 
 
@@ -1552,7 +1533,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     conventional ``128 + SIGPIPE`` status.
     """
     try:
-        code = _dispatch(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        # Refuse a --json FILE in a missing directory before the run,
+        # not after it.
+        json_out = getattr(args, "json_out", None)
+        if json_out not in (None, "-"):
+            parent = os.path.dirname(os.path.abspath(json_out))
+            if not os.path.isdir(parent):
+                print(
+                    f"error: --json {json_out}: directory {parent} "
+                    "does not exist",
+                    file=sys.stderr,
+                )
+                return 2
+        code = _dispatch(args)
         # Flush inside the try so a buffered write onto a closed pipe
         # surfaces here, not in the interpreter's exit machinery.
         sys.stdout.flush()
@@ -1727,8 +1721,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "perf":
         return _cmd_perf(
             args.smoke,
-            args.output,
-            args.repeats,
             only=args.only,
             json_out=args.json_out,
         )

@@ -693,46 +693,99 @@ def bench_cache_hit(*, smoke: bool = False) -> dict[str, Any]:
 # -- suite ---------------------------------------------------------------------
 
 
-#: ``(headline key, results section, key within the section)`` — the
-#: headline block is assembled from whichever sections actually ran,
-#: skipping values a section reports as ``None``.
-_HEADLINE_SPEC: tuple[tuple[str, str, str], ...] = (
-    ("events_per_second", "engine_events", "events_per_second"),
-    ("epoch_events_per_second", "engine_epochs", "epoch_events_per_second"),
-    ("churn_flows_per_second", "flow_churn", "flows_per_second"),
+#: Report schema; ``check_bench.py`` accepts no other.
+SCHEMA = "repro-bench-core/9"
+
+#: One row per headline: ``(key, results section, key within the
+#: section, floor, baseline)``.  The headline block is assembled from
+#: whichever sections actually ran, skipping values a section reports
+#: as ``None``.  ``floor`` is ``(">=", bound)``, ``("<=", bound)`` or
+#: ``None``: ``check_bench.py`` fails a report whose value breaks it.
+#: ``baseline`` marks the throughputs ``check_bench.py --baseline``
+#: compares against an earlier report.
+HEADLINE_SPEC: tuple[
+    tuple[str, str, str, tuple[str, float] | None, bool], ...
+] = (
+    ("events_per_second", "engine_events", "events_per_second", None, True),
+    (
+        "epoch_events_per_second",
+        "engine_epochs",
+        "epoch_events_per_second",
+        (">=", 400_000),
+        True,
+    ),
+    ("churn_flows_per_second", "flow_churn", "flows_per_second", None, True),
     (
         "capacity_changes_per_second",
         "set_capacity",
         "capacity_changes_per_second",
+        (">=", 5_000),
+        True,
     ),
     (
         "churn_large_flows_per_second",
         "flow_churn_large",
         "flows_per_second",
+        (">=", 1_000),
+        True,
     ),
-    ("metrics_disabled_overhead", "metrics_overhead", "disabled_overhead"),
-    ("metrics_enabled_overhead", "metrics_overhead", "enabled_overhead"),
-    ("spans_disabled_overhead", "span_overhead", "disabled_overhead"),
-    ("spans_enabled_overhead", "span_overhead", "enabled_overhead"),
-    ("figure_sweep_seconds", "figure_sweep", "wall_seconds"),
-    ("sweep_parallel_speedup", "sweep_parallel", "speedup"),
-    ("cache_hit_speedup", "cache_hit", "speedup"),
+    (
+        "metrics_disabled_overhead",
+        "metrics_overhead",
+        "disabled_overhead",
+        ("<=", 0.05),
+        False,
+    ),
+    (
+        "metrics_enabled_overhead",
+        "metrics_overhead",
+        "enabled_overhead",
+        None,
+        False,
+    ),
+    (
+        "spans_disabled_overhead",
+        "span_overhead",
+        "disabled_overhead",
+        ("<=", 0.05),
+        False,
+    ),
+    ("spans_enabled_overhead", "span_overhead", "enabled_overhead", None, False),
+    ("figure_sweep_seconds", "figure_sweep", "wall_seconds", None, False),
+    ("sweep_parallel_speedup", "sweep_parallel", "speedup", (">=", 1.5), False),
+    ("cache_hit_speedup", "cache_hit", "speedup", (">=", 2.0), False),
     (
         "shadow_replay_windows_per_second",
         "shadow_replay",
         "shadow_replay_windows_per_second",
+        (">=", 5),
+        True,
     ),
-    ("serve_requests_per_second", "serve", "serve_requests_per_second"),
-    ("serve_whatif_p99_ms", "serve", "serve_whatif_p99_ms"),
+    (
+        "serve_requests_per_second",
+        "serve",
+        "serve_requests_per_second",
+        (">=", 5),
+        False,
+    ),
+    (
+        "serve_whatif_p99_ms",
+        "serve",
+        "serve_whatif_p99_ms",
+        ("<=", 60_000),
+        False,
+    ),
 )
 
 
 def suite_sections(
-    *, smoke: bool = False, repeats: int | None = None
+    *, smoke: bool = False
 ) -> dict[str, Callable[[], dict[str, Any]]]:
-    """Name → thunk for every suite section (the ``--only`` vocabulary)."""
-    if repeats is None:
-        repeats = 1 if smoke else REPEATS
+    """Name → thunk for every suite section (the ``--only`` vocabulary).
+
+    Smoke runs are best-of-1; the full suite is best-of-:data:`REPEATS`.
+    """
+    repeats = 1 if smoke else REPEATS
     scale = 10 if smoke else 1
     shrink = 4 if smoke else 1
     return {
@@ -776,7 +829,6 @@ def suite_sections(
 def run_suite(
     *,
     smoke: bool = False,
-    repeats: int | None = None,
     only: "list[str] | tuple[str, ...] | None" = None,
 ) -> dict[str, Any]:
     """Run the microbenchmarks; returns the ``BENCH_core.json`` payload.
@@ -786,14 +838,15 @@ def run_suite(
     (timestamp, platform string) live under ``meta`` so two reports of
     the same code can be compared by everything outside that block.
 
-    ``only`` restricts the run to the named sections (CI smoke uses
-    ``only=["solver_scaling"]``); the headline block then carries just
+    ``only`` restricts the run to the named sections (e.g.
+    ``only=["serve"]`` to work on the service alone); the report
+    records them under ``"only"``, the headline block carries just
     the keys those sections feed, and ``check_bench.py`` skips the
     rest.  Unknown names raise ``ValueError`` listing the vocabulary.
     """
     from .. import __version__
 
-    sections = suite_sections(smoke=smoke, repeats=repeats)
+    sections = suite_sections(smoke=smoke)
     selected = list(sections)
     if only is not None:
         unknown = [name for name in only if name not in sections]
@@ -810,11 +863,11 @@ def run_suite(
         )
     headline = {
         key: results[section][field]
-        for key, section, field in _HEADLINE_SPEC
+        for key, section, field, _floor, _baseline in HEADLINE_SPEC
         if section in results and results[section][field] is not None
     }
     report = {
-        "schema": "repro-bench-core/9",
+        "schema": SCHEMA,
         "version": __version__,
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],

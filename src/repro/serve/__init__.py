@@ -18,7 +18,8 @@ Layers, bottom up:
   (``POST /v1/{run,sweep,whatif,shadow}``, ``GET /v1/jobs/<id>`` and
   its NDJSON ``/events`` stream, health/stats/metrics);
 - :mod:`repro.serve.client` — urllib client (``repro submit``);
-- :mod:`repro.serve.loadtest` — the ``bench_serve`` harness.
+- :mod:`repro.serve.loadtest` — the load test behind ``repro perf``'s
+  ``serve`` section.
 """
 
 from .client import JobFailedError, ServeClient, ServeError

@@ -17,12 +17,15 @@ ephemeral port and hammers it the way production traffic would:
 
 Latency is measured submit→done per request; the warm wave's p50/p95/
 p99 and sustained request rate are the headline numbers recorded in
-``BENCH_core.json`` and guarded by ``check_bench.py``.
+``BENCH_core.json`` and guarded by ``check_bench.py``.  The entry
+point is the ``serve`` section of ``repro perf`` (``repro perf --smoke
+--only serve`` runs it alone).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 import threading
 import time
@@ -53,10 +56,11 @@ _QUERIES: tuple[dict[str, Any], ...] = (
 
 
 def _percentile_ms(samples: "list[float]", fraction: float) -> float:
+    """Nearest-rank percentile of ``samples`` (seconds), in ms."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
+    rank = max(0, math.ceil(fraction * len(ordered)) - 1)
     return ordered[rank] * 1e3
 
 

@@ -45,6 +45,30 @@ class TestRunCommand:
         assert not (cache_dir / "objects").exists()
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig01"],
+        ["validate"],
+        ["perf", "--smoke", "--only", "engine_events"],
+    ],
+    ids=["run", "validate", "perf"],
+)
+def test_json_into_missing_directory_exits_2_before_running(
+    argv, tmp_path, capsys, monkeypatch
+):
+    def no_run(args):
+        raise AssertionError("the command ran before the --json check")
+
+    monkeypatch.setattr("repro.cli._dispatch", no_run)
+    target = tmp_path / "nodir" / "out.json"
+    assert main([*argv, "--json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --json ")
+    assert "nodir" in err and "does not exist" in err
+    assert not target.parent.exists()
+
 class TestCacheCommand:
     def test_show_then_clear(self, cache_dir, capsys):
         assert main(["run", "fig04"]) == 0
