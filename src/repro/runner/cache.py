@@ -1,23 +1,26 @@
 """Content-addressed on-disk result cache.
 
-Entries live under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``)
-as ``objects/<k[:2]>/<key>.pkl``; the key (see
-:mod:`repro.runner.keys`) already encodes the point parameters,
-calibration/topology fingerprints and the package version, so the
-store itself is a dumb immutable blob space — invalidation is simply
-"a changed input hashes to a different key".  Writes are atomic
-(tempfile + ``os.replace``), so concurrent runners sharing one cache
-directory can never observe a torn entry; corrupt or unreadable
-entries are deleted and treated as misses.
+Entries are rows ``(key, pickled {"key", "version", "value"})`` of one
+SQLite file, :data:`STORE_FILE`, under ``$REPRO_CACHE_DIR`` (default
+``~/.cache/repro``).  The key (see :mod:`repro.runner.keys`) encodes
+the point parameters, calibration/topology fingerprints and package
+version, so invalidation is simply "a changed input hashes to a
+different key".  Stores inside :meth:`ResultCache.batch` commit in one
+transaction (the runner commits once per grid): a crash loses at most
+a batch and never tears an entry.  The cache promises recomputability
+only, so an undecodable row is a counted miss, and a file that is not
+a database turns loads into misses and commits into counted errors.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
-import time
-from dataclasses import dataclass, field
+import shutil
+import threading
+import weakref
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -27,10 +30,9 @@ from .points import SimPoint
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Age (seconds) past which an abandoned ``.tmp-*`` file is considered
-#: dead and swept by :meth:`ResultCache.clear`.  Younger temporaries
-#: may belong to an in-flight store on another thread or process.
-STALE_TMP_SECONDS = 3600.0
+#: The store inside the cache directory; the suffix is the on-disk
+#: format version (v1 was a sharded ``objects/`` tree of pickle files).
+STORE_FILE = "results-v2.sqlite"
 
 
 def default_cache_dir() -> Path:
@@ -47,6 +49,73 @@ def _package_version() -> str:
     return __version__
 
 
+class _Store:
+    """One process's connection to one store file, behind one lock.
+
+    Shared by every :class:`ResultCache` handle on the file (serve runs
+    one per job, on several threads); closed once no handle holds it and
+    another store was used since.  Keyed by pid: a fork opens its own.
+    """
+
+    _open: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _open_lock = threading.Lock()
+    _recent: "_Store | None" = None
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.pid = os.getpid()
+        self.lock = threading.Lock()
+        self.connection: Any = None
+
+    @classmethod
+    def shared(cls, path: Path) -> "_Store":
+        with cls._open_lock:
+            store = cls._open.get((os.getpid(), path))
+            if store is None:
+                store = cls._open[os.getpid(), path] = cls(path)
+            cls._recent = store
+        return store
+
+    def _connect(self) -> Any:
+        import sqlite3
+
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        db = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
+        try:  # a 64 KiB page cache keeps serve's RSS flat
+            with suppress(sqlite3.OperationalError):  # a racing opener sets it
+                db.execute("PRAGMA journal_mode=WAL")
+            db.executescript(
+                "PRAGMA synchronous=NORMAL; PRAGMA cache_size=-64; CREATE TABLE"
+                " IF NOT EXISTS entries (key TEXT PRIMARY KEY, value BLOB);"
+            )
+        except BaseException:
+            db.close()
+            raise
+        weakref.finalize(self, db.close)
+        return db
+
+    def run(self, sql: str, args: Any = (), *, create: bool = False) -> Any:
+        """One committed statement (once per item of a list ``args``):
+        a query's rows or a write's ``[(rows changed,)]``; ``None`` if
+        there is no usable file (a missing one is made with ``create``)."""
+        import sqlite3
+
+        with self.lock:
+            try:
+                if self.connection is None:
+                    if not create and not self.path.exists():
+                        return None
+                    self.connection = self._connect()
+                with self.connection as db:
+                    run = db.executemany if isinstance(args, list) else db.execute
+                    cursor = run(sql, args)
+                    if cursor.description is None:
+                        return [(cursor.rowcount,)]
+                    return cursor.fetchall()
+            except (sqlite3.DatabaseError, OSError):
+                return None
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one :class:`ResultCache` instance."""
@@ -59,13 +128,7 @@ class CacheStats:
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for perf reports)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "uncacheable": self.uncacheable,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 class ResultCache:
@@ -77,13 +140,17 @@ class ResultCache:
         *,
         version: str | None = None,
     ) -> None:
-        self.directory = (
-            Path(directory) if directory is not None else default_cache_dir()
-        )
+        self.directory = Path(default_cache_dir() if directory is None else directory)
         self.version = version if version is not None else _package_version()
         self.stats = CacheStats()
+        self.path = self.directory / STORE_FILE
+        self._pending: dict[str, bytes] | None = None
+        self._held: _Store | None = None
 
-    # -- keys -----------------------------------------------------------
+    def _store(self) -> _Store:
+        if self._held is None or self._held.pid != os.getpid():
+            self._held = _Store.shared(self.path)
+        return self._held
 
     def key_for(self, point: SimPoint) -> str | None:
         """The point's cache key, or ``None`` if it is uncacheable."""
@@ -93,162 +160,93 @@ class ResultCache:
             self.stats.uncacheable += 1
             return None
 
-    # -- storage --------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.directory / "objects" / key[:2] / f"{key}.pkl"
-
     def load(self, key: str) -> tuple[bool, Any]:
-        """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
-        path = self._path(key)
+        """``(True, value)`` on a hit (an open :meth:`batch` is read
+        first), ``(False, None)`` on a miss."""
+        blob = self._pending.get(key) if self._pending is not None else None
+        if blob is None:
+            rows = self._store().run("SELECT value FROM entries WHERE key = ?", (key,))
+            if not rows:
+                self.stats.misses += 1
+                return False, None
+            blob = rows[0][0]
         try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-            value = entry["value"]
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return False, None
-        except (
-            OSError,
-            EOFError,
-            KeyError,
-            IndexError,
-            TypeError,  # entry pickled against a changed class signature
-            ValueError,
-            pickle.UnpicklingError,
-            AttributeError,  # entry pickled against a renamed class
-            ImportError,  # entry pickled against a removed module
-            MemoryError,
-        ):
-            # Corrupt / truncated / incompatible entry: drop and
-            # recompute.  Deliberately *not* a bare ``except Exception``
-            # — ``KeyboardInterrupt``/``SystemExit`` (BaseExceptions)
-            # and genuine programming errors must propagate instead of
-            # being miscounted as cache corruption.
+            value = pickle.loads(blob)["value"]
+        # Corrupt or stale-class entry: drop it.  Not ``except Exception``:
+        # Ctrl-C, SystemExit and programming errors must propagate.
+        except (EOFError, KeyError, IndexError, TypeError, ValueError,
+                pickle.UnpicklingError, AttributeError, ImportError,
+                MemoryError):
             self.stats.errors += 1
             self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._store().run("DELETE FROM entries WHERE key = ?", (key,))
             return False, None
         self.stats.hits += 1
         return True, value
 
     def store(self, key: str, value: Any) -> None:
-        """Atomically persist one point output."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(
-            {"key": key, "version": self.version, "value": value},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except FileNotFoundError:
-            # A concurrent clear() swept our temp between write and
-            # publish.  The cache only promises recomputability, so a
-            # lost store is harmless — never crash the runner for it.
-            self.stats.errors += 1
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
+        """Persist one point output (when the enclosing :meth:`batch` ends)."""
+        entry = {"key": key, "version": self.version, "value": value}
+        with self.batch():
+            self._pending[key] = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+            self.stats.stores += 1
 
-    # -- maintenance ----------------------------------------------------
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Buffer this handle's stores; commit them in one transaction.
 
-    def entries(self) -> Iterator[Path]:
-        """Every *committed* entry file currently in the cache.
-
-        In-flight temporaries (``.tmp-*.pkl`` left by :meth:`store`,
-        possibly stale after a killed writer) are excluded —
-        ``pathlib``'s glob matches dotfiles, so filtering is explicit.
-        Directories vanishing mid-scan (a concurrent :meth:`clear`)
-        are tolerated.
+        Nested batches join the outer one.  A failed commit (the file is
+        not a database) is dropped: its rows move from stores to errors.
         """
-        objects = self.directory / "objects"
-        if not objects.is_dir():
+        if self._pending is not None:
+            yield
             return
+        self._pending = {}
         try:
-            found = sorted(objects.glob("*/*.pkl"))
-        except OSError:
-            return
-        for path in found:
-            if not path.name.startswith("."):
-                yield path
+            yield
+        finally:
+            rows, self._pending = list(self._pending.items()), None
+            if rows and not self._store().run(
+                "INSERT OR REPLACE INTO entries VALUES (?, ?)", rows, create=True
+            ):
+                self.stats.stores -= len(rows)
+                self.stats.errors += len(rows)
 
     def entry_count(self) -> int:
-        """Number of cached point outputs."""
-        return sum(1 for _ in self.entries())
+        """Number of committed point outputs."""
+        rows = self._store().run("SELECT count(*) FROM entries")
+        return rows[0][0] if rows else 0
 
     def total_bytes(self) -> int:
-        """On-disk size of all entries.
-
-        Entries deleted by a concurrent runner between listing and
-        ``stat`` simply don't count (the cache promises concurrent
-        runners are safe).
-        """
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        """Size of every committed entry (its pickled bytes)."""
+        rows = self._store().run("SELECT total(length(value)) FROM entries")
+        return int(rows[0][0]) if rows else 0
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed.
+        """Delete every committed entry; returns how many were removed.
 
-        Also sweeps stale ``.tmp-*`` files abandoned by writers that
-        died between ``mkstemp`` and ``os.replace`` (they are not
-        counted in the return value).  Only temporaries older than
-        :data:`STALE_TMP_SECONDS` are swept — a younger one probably
-        belongs to an *in-flight* store on another thread/process, and
-        deleting it from under the writer would turn its publish into
-        an error.  Files already removed by a concurrent clear are
-        skipped silently.
+        A cache file that cannot be used as a database is deleted, and a
+        leftover v1 ``objects/`` tree is removed (neither is counted).
+        Rows buffered in an open :meth:`batch` still commit after it.
         """
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        objects = self.directory / "objects"
-        if objects.is_dir():
-            try:
-                stale = list(objects.glob("*/.tmp-*"))
-            except OSError:
-                stale = []
-            cutoff = time.time() - STALE_TMP_SECONDS
-            for path in stale:
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                except OSError:
-                    pass
-        return removed
+        shutil.rmtree(self.directory / "objects", ignore_errors=True)
+        store = self._store()
+        rows = store.run("DELETE FROM entries")
+        if rows is not None:
+            return rows[0][0]
+        with store.lock:  # drop the connection, the file and its WAL
+            if store.connection is not None:
+                store.connection.close()
+                store.connection = None
+            for suffix in ("", "-wal", "-shm"):
+                with suppress(OSError):
+                    os.unlink(f"{self.path}{suffix}")
+        return 0
 
     def describe(self) -> str:
         """One-paragraph summary for ``repro cache show``."""
-        count = self.entry_count()
-        size = self.total_bytes()
         return (
             f"cache directory: {self.directory}\n"
             f"package version: {self.version}\n"
-            f"entries: {count} ({size / 1e6:.2f} MB)"
+            f"entries: {self.entry_count()} ({self.total_bytes() / 1e6:.2f} MB)"
         )

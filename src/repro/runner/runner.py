@@ -8,10 +8,11 @@ so the runner's job is bookkeeping, not synchronization:
 2. execute the misses, either in-process (``jobs=1``) or over a
    ``ProcessPoolExecutor`` (``jobs>1``), falling back to serial
    execution if a pool cannot be started (restricted sandboxes);
-3. store fresh outputs and return them **in point order**, so the
-   assembled :class:`~repro.core.experiment.ExperimentResult` is
-   bit-identical regardless of ``jobs`` (enforced by the differential
-   tests in ``tests/runner/``).
+3. store fresh outputs (one cache commit per grid) and return them
+   **in point order**, so the assembled
+   :class:`~repro.core.experiment.ExperimentResult` is bit-identical
+   regardless of ``jobs`` (enforced by the differential tests in
+   ``tests/runner/``).
 """
 
 from __future__ import annotations
@@ -248,8 +249,12 @@ class SweepRunner:
             fresh = self._execute([points[i] for i in pending], context)
             for index, value in zip(pending, fresh):
                 outputs[index] = value
-                if self.cache is not None and keys[index] is not None:
-                    self.cache.store(keys[index], value)
+            if self.cache is not None:
+                # One commit for the whole grid, not one per point.
+                with self.cache.batch():
+                    for index in pending:
+                        if keys[index] is not None:
+                            self.cache.store(keys[index], outputs[index])
         self.stats.points += len(points)
         self.stats.executed += len(pending)
         if self.cache is not None:

@@ -15,6 +15,8 @@ single-link pair list from §V-A1, {0-2, 1-3, 1-5, 3-7, 4-6, 5-7}.
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import TopologyError
 from .node import GcdInfo, NodeTopology, NodeTopologyBuilder, NumaDomainInfo
 
@@ -50,7 +52,24 @@ FRONTIER_SINGLE_LINK_PAIRS: frozenset[frozenset[int]] = frozenset(
 
 
 def frontier_node(*, name: str = "frontier-mi250x") -> NodeTopology:
-    """Build the Fig. 1 MI250X node (8 GCDs, 4 packages, 4 NUMA domains)."""
+    """The Fig. 1 MI250X node (8 GCDs, 4 packages, 4 NUMA domains).
+
+    With the default name it is built and checked once per process and
+    shared: a :class:`NodeTopology` is immutable (fault state lives on
+    the simulated node), and every point of a sweep that names no
+    topology asks for this one.
+    """
+    if name == "frontier-mi250x":
+        return _shared_frontier_node()
+    return _build_frontier_node(name)
+
+
+@functools.cache
+def _shared_frontier_node() -> NodeTopology:
+    return _build_frontier_node("frontier-mi250x")
+
+
+def _build_frontier_node(name: str) -> NodeTopology:
     builder = NodeTopologyBuilder(name)
     for numa in range(4):
         builder.add_numa_domain(NumaDomainInfo(index=numa))

@@ -88,7 +88,7 @@ class TestInjectCli:
             ]
         )
         assert code == 0
-        assert not (cache_dir / "objects").exists()
+        assert not cache_dir.exists()
 
     def test_lethal_scenario_reports_cleanly_and_exits_1(
         self, tmp_path, capsys, monkeypatch

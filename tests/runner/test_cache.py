@@ -1,6 +1,15 @@
-"""ResultCache storage semantics: round-trips, corruption, clearing."""
+"""ResultCache storage semantics: round-trips, corruption, clearing,
+batched commits."""
 
-from repro.runner import CacheStats, ResultCache, SimPoint
+import os
+import sqlite3
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+from repro.runner import CacheStats, ResultCache, SimPoint, SweepRunner
+from repro.runner import cache as cache_module
 from repro.units import MiB
 
 
@@ -12,6 +21,17 @@ def _point(size=1 * MiB):
         interface="pinned_memcpy",
         size=size,
     )
+
+
+def _write_row(cache, key, blob):
+    """Overwrite one committed row behind the cache's back."""
+    with sqlite3.connect(cache.path) as db:
+        db.execute("UPDATE entries SET value = ? WHERE key = ?", (blob, key))
+
+
+def _committed_keys(cache):
+    with sqlite3.connect(cache.path) as db:
+        return {key for (key,) in db.execute("SELECT key FROM entries")}
 
 
 class TestResultCache:
@@ -31,6 +51,7 @@ class TestResultCache:
             "uncacheable": 0,
             "errors": 0,
         }
+        assert cache.path == tmp_path / "results-v2.sqlite"
 
     def test_version_isolates_entries(self, tmp_path):
         old = ResultCache(tmp_path, version="1")
@@ -46,12 +67,12 @@ class TestResultCache:
         cache = ResultCache(tmp_path, version="1")
         key = cache.key_for(_point())
         cache.store(key, 1.0)
-        path = cache._path(key)
-        path.write_bytes(b"not a pickle")
+        _write_row(cache, key, b"not a pickle")
         hit, _ = cache.load(key)
         assert not hit
         assert cache.stats.errors == 1
-        assert not path.exists()
+        assert cache.stats.misses == 1
+        assert key not in _committed_keys(cache)
 
     def test_entries_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path, version="1")
@@ -64,77 +85,51 @@ class TestResultCache:
         assert cache.entry_count() == 0
 
     def test_inflight_temp_files_are_not_entries(self, tmp_path):
-        """Regression: ``.tmp-*.pkl`` left by a killed writer matched the
-        ``*/*.pkl`` glob (pathlib globs match dotfiles) and were counted,
-        sized and "cleared" as if they were committed entries."""
+        """Stray files in the cache directory (v1 shards, temporaries
+        of a killed writer) are never counted or sized as entries."""
         cache = ResultCache(tmp_path, version="1")
-        cache.store(cache.key_for(_point()), 1.0)
-        bucket = next(cache.entries()).parent
-        stale = bucket / ".tmp-abandoned.pkl"
-        stale.write_bytes(b"partial write")
+        key = cache.key_for(_point())
+        cache.store(key, 1.0)
+        shard = tmp_path / "objects" / key[:2]
+        shard.mkdir(parents=True)
+        (shard / f"{key}.pkl").write_bytes(b"v1 entry")
+        (shard / ".tmp-abandoned.pkl").write_bytes(b"partial write")
         assert cache.entry_count() == 1
-        assert all(not p.name.startswith(".") for p in cache.entries())
-        committed = cache._path(cache.key_for(_point())).stat().st_size
+        with sqlite3.connect(cache.path) as db:
+            (committed,) = db.execute("SELECT length(value) FROM entries").fetchone()
         assert cache.total_bytes() == committed
 
     def test_clear_sweeps_stale_temp_files_uncounted(self, tmp_path):
-        import os
-
-        from repro.runner.cache import STALE_TMP_SECONDS
-
+        """``clear`` removes a leftover v1 ``objects/`` tree but counts
+        only committed rows."""
         cache = ResultCache(tmp_path, version="1")
         cache.store(cache.key_for(_point()), 1.0)
-        bucket = next(cache.entries()).parent
-        stale = bucket / ".tmp-abandoned.pkl"
-        stale.write_bytes(b"x")
-        # Only temps older than the stale threshold are swept — a fresh
-        # one may belong to an in-flight writer (see
-        # test_cache_concurrency).
-        old = os.path.getmtime(stale) - STALE_TMP_SECONDS - 60
-        os.utime(stale, (old, old))
-        assert cache.clear() == 1  # temp sweep not counted as an entry
-        assert not stale.exists()
+        legacy = tmp_path / "objects" / "ab"
+        legacy.mkdir(parents=True)
+        (legacy / ("ab" * 32 + ".pkl")).write_bytes(b"x")
+        (legacy / ".tmp-abandoned.pkl").write_bytes(b"x")
+        assert cache.clear() == 1
+        assert not (tmp_path / "objects").exists()
 
     def test_total_bytes_tolerates_concurrent_clear(self, tmp_path):
-        """Regression: a file deleted between the directory listing and
-        ``stat`` (a concurrent ``clear``) raised FileNotFoundError."""
+        """Sizes count committed rows only: another handle's clear is
+        seen at once, and rows still buffered in a batch are not."""
         cache = ResultCache(tmp_path, version="1")
         for size in (1 * MiB, 2 * MiB):
             cache.store(cache.key_for(_point(size)), float(size))
-        surviving = list(cache.entries())[0]
-        real_entries = ResultCache.entries
-
-        def entries_then_clear(self):
-            paths = list(real_entries(self))
-            for path in paths:
-                if path != surviving:
-                    path.unlink()  # simulate another runner clearing
-            return iter(paths)
-
-        ResultCache.entries = entries_then_clear
-        try:
-            assert cache.total_bytes() == surviving.stat().st_size
-        finally:
-            ResultCache.entries = real_entries
+        assert cache.total_bytes() > 0
+        with cache.batch():
+            cache.store(cache.key_for(_point(4 * MiB)), 4.0)
+            assert ResultCache(tmp_path, version="1").clear() == 2
+            assert cache.total_bytes() == 0
+        assert cache.entry_count() == 1
 
     def test_clear_tolerates_concurrent_clear(self, tmp_path):
         cache = ResultCache(tmp_path, version="1")
         cache.store(cache.key_for(_point()), 1.0)
-        victim = next(cache.entries())
-        real_entries = ResultCache.entries
-
-        def entries_then_clear(self):
-            paths = list(real_entries(self))
-            for path in paths:
-                path.unlink()
-            return iter(paths)
-
-        ResultCache.entries = entries_then_clear
-        try:
-            assert cache.clear() == 0  # already gone: skipped, not raised
-        finally:
-            ResultCache.entries = real_entries
-        assert not victim.exists()
+        other = ResultCache(tmp_path, version="1")
+        assert other.clear() == 1
+        assert cache.clear() == 0  # already gone: nothing to remove
 
     def test_env_var_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
@@ -150,3 +145,71 @@ class TestResultCache:
             "uncacheable": 0,
             "errors": 0,
         }
+
+    def test_missing_directory_is_reported_empty_and_not_created(self, tmp_path):
+        cache = ResultCache(tmp_path / "absent", version="1")
+        assert cache.entry_count() == 0
+        assert "entries: 0" in cache.describe()
+        assert cache.load("ab" * 32) == (False, None)
+        assert cache.clear() == 0
+        assert not (tmp_path / "absent").exists()
+
+
+class TestBatch:
+    def test_load_sees_an_open_batch(self, tmp_path):
+        cache = ResultCache(tmp_path, version="1")
+        key = cache.key_for(_point())
+        with cache.batch():
+            cache.store(key, 7.0)
+            assert cache.load(key) == (True, 7.0)
+            # Buffered, not committed: other handles do not see it yet.
+            assert ResultCache(tmp_path, version="1").load(key) == (False, None)
+        assert ResultCache(tmp_path, version="1").load(key) == (True, 7.0)
+        assert cache.stats.stores == 1
+
+    def test_run_points_commits_once_per_grid(self, tmp_path, monkeypatch):
+        commits = []
+        run = cache_module._Store.run
+
+        def spy(store, sql, *args, **kwargs):
+            if sql.startswith("INSERT"):
+                commits.append(len(args[0]))
+            return run(store, sql, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module._Store, "run", spy)
+        runner = SweepRunner(cache=ResultCache(tmp_path, version="1"))
+        points = [_point(size * MiB) for size in (1, 2, 4, 8)]
+        cold = runner.run_points(points)
+        assert commits == [4]
+        assert runner.cache.stats.stores == 4
+        assert runner.run_points(points) == cold  # warm: nothing to commit
+        assert commits == [4]
+
+    def test_garbage_cache_file_never_crashes_a_run(self, tmp_path):
+        cache = ResultCache(tmp_path, version="1")
+        cache.path.write_bytes(b"this is not a database" * 100)
+        runner = SweepRunner(cache=cache)
+        points = [_point(size * MiB) for size in (1, 2)]
+        first = runner.run_points(points)
+        assert runner.stats.executed == 2
+        assert cache.stats.misses == 2
+        assert cache.stats.errors == 2  # the dropped commit's rows
+        assert cache.stats.stores == 0
+        assert cache.entry_count() == 0
+        assert cache.clear() == 0  # deletes the file...
+        assert SweepRunner(cache=cache).run_points(points) == first
+        assert cache.entry_count() == 2  # ...and the store works again
+
+
+def test_import_repro_does_not_load_sqlite3():
+    """The store imports ``sqlite3`` on first use, never at import."""
+    code = "import sys, repro\nassert 'sqlite3' not in sys.modules\n"
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

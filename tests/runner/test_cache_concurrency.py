@@ -5,17 +5,16 @@ job threads (and sweep worker processes) hit one directory with mixed
 ``store``/``load``/``clear`` traffic.  These tests pin the properties
 that make that safe:
 
-- a reader never observes a torn entry (atomic tempfile +
-  ``os.replace`` publication);
+- a reader never observes a torn entry (each commit is one SQLite
+  transaction);
 - ``load`` answers either a clean miss or the *complete* value, even
   racing ``clear``;
-- stale ``.tmp-*`` files from killed writers are invisible to
-  ``entries()`` and swept by ``clear()``.
+- stray files in the cache directory are never entries, and ``clear``
+  during an open batch never raises.
 """
 
 import multiprocessing
-import os
-import pickle
+import sqlite3
 import threading
 
 import pytest
@@ -28,6 +27,14 @@ KEYS = [f"{i:02x}{'ab' * 31}" for i in range(16)]  # 16 two-char shards
 def _value_for(key: str) -> dict:
     # Big enough that a torn read cannot masquerade as a valid pickle.
     return {"key": key, "payload": [key] * 2000}
+
+
+def _assert_survivors_complete(directory) -> None:
+    survivor = ResultCache(directory, version="1")
+    for key in KEYS:
+        hit, value = survivor.load(key)
+        assert not hit or value == _value_for(key)
+    assert survivor.stats.errors == 0
 
 
 def _hammer_store_load(directory: str, seed: int) -> int:
@@ -67,16 +74,11 @@ class TestThreadHammer:
         if failures:
             raise failures[0]
         # Every surviving committed entry is complete and loadable.
-        survivor = ResultCache(cache_dir, version="1")
-        for path in survivor.entries():
-            key = path.stem
-            hit, value = survivor.load(key)
-            assert hit and value == _value_for(key)
-        assert survivor.stats.errors == 0
+        _assert_survivors_complete(cache_dir)
 
     def test_concurrent_same_key_store_keeps_one_full_copy(self, tmp_path):
         """N writers racing on ONE key must leave exactly one complete
-        entry (last ``os.replace`` wins) and no droppings."""
+        entry (last commit wins)."""
         cache_dir = str(tmp_path)
         key = KEYS[0]
         barrier = threading.Barrier(12)
@@ -98,9 +100,10 @@ class TestThreadHammer:
         assert cache.entry_count() == 1
         hit, value = cache.load(key)
         assert hit and value == _value_for(key)
-        # No abandoned temporaries: every mkstemp was replaced/unlinked.
-        shard = (tmp_path / "objects" / key[:2])
-        assert not list(shard.glob(".tmp-*"))
+        # Nothing beside the store file and its WAL companions.
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            cache.path.name + suffix for suffix in ("", "-wal", "-shm")
+        }
 
 
 class TestProcessHammer:
@@ -116,73 +119,64 @@ class TestProcessHammer:
         except (OSError, NotImplementedError):
             pytest.skip("no multiprocessing in this sandbox")
         assert errors == [0, 0, 0, 0]
-        survivor = ResultCache(tmp_path, version="1")
-        for path in survivor.entries():
-            hit, value = survivor.load(path.stem)
-            assert hit and value == _value_for(path.stem)
+        _assert_survivors_complete(tmp_path)
 
 
 class TestStaleTemporaries:
     def test_tmp_files_hidden_from_entries_and_swept_by_clear(self, tmp_path):
-        from repro.runner.cache import STALE_TMP_SECONDS
-
+        """Files beside the store (a v1 shard tree with a dead writer's
+        temporary, unrelated droppings) are never entries; ``clear``
+        removes the v1 tree, counts only rows, and leaves the rest."""
         cache = ResultCache(tmp_path, version="1")
         cache.store(KEYS[0], _value_for(KEYS[0]))
         shard = tmp_path / "objects" / KEYS[0][:2]
-        # Simulate a writer killed between mkstemp and os.replace, long
-        # ago (backdated past the stale threshold)...
-        stale = shard / ".tmp-dead12.pkl"
-        stale.write_bytes(b"\x80\x05 truncated garbage")
-        long_ago = os.path.getmtime(stale) - STALE_TMP_SECONDS - 60
-        os.utime(stale, (long_ago, long_ago))
-        # ...and one that is in-flight right now.
-        fresh = shard / ".tmp-live34.pkl"
-        fresh.write_bytes(b"\x80\x05 in flight")
-        assert cache.entry_count() == 1  # temps are not entries
-        assert [p.name for p in cache.entries()] == [f"{KEYS[0]}.pkl"]
+        shard.mkdir(parents=True)
+        (shard / f"{KEYS[1]}.pkl").write_bytes(b"v1 entry")
+        (shard / ".tmp-dead12.pkl").write_bytes(b"\x80\x05 truncated garbage")
+        unrelated = tmp_path / "notes.txt"
+        unrelated.write_bytes(b"kept")
+        assert cache.entry_count() == 1  # stray files are not entries
+        assert cache.load(KEYS[1]) == (False, None)
         removed = cache.clear()
-        assert removed == 1  # temps are swept but not counted
-        assert not stale.exists()  # dead writer's droppings gone
-        assert fresh.exists()  # live writer's temp untouched
+        assert removed == 1  # stray files are removed but not counted
+        assert not (tmp_path / "objects").exists()
+        assert unrelated.exists()
         assert cache.entry_count() == 0
 
     def test_store_racing_clear_never_raises(self, tmp_path):
-        """Regression: clear() swept a temp belonging to an in-flight
-        store, whose os.replace then crashed with FileNotFoundError."""
+        """A clear while another handle's batch is open never raises;
+        the batch's rows commit after it, and the cleared ones stay
+        gone."""
         cache = ResultCache(tmp_path, version="1")
-        key = KEYS[3]
-        real_replace = os.replace
-
-        def sweep_then_replace(src, dst):
-            # A concurrent clear() wins the race and deletes the temp.
-            os.unlink(src)
-            return real_replace(src, dst)
-
-        cache.store(key, _value_for(key))  # healthy path first
-        try:
-            os.replace = sweep_then_replace
-            cache.store(key, _value_for(key))  # must not raise
-        finally:
-            os.replace = real_replace
-        assert cache.stats.errors == 1
-        assert cache.stats.stores == 1  # the lost store is not counted
-        hit, value = cache.load(key)  # first copy still intact
-        assert hit and value == _value_for(key)
+        cache.store(KEYS[3], _value_for(KEYS[3]))  # healthy path first
+        other = ResultCache(tmp_path, version="1")
+        with cache.batch():
+            cache.store(KEYS[4], _value_for(KEYS[4]))
+            assert other.clear() == 1  # must not raise
+            cache.store(KEYS[5], _value_for(KEYS[5]))
+        assert cache.stats.errors == 0
+        assert cache.stats.stores == 3
+        assert other.load(KEYS[3]) == (False, None)
+        for key in KEYS[4:6]:
+            hit, value = other.load(key)
+            assert hit and value == _value_for(key)
 
     def test_torn_entry_is_dropped_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path, version="1")
         cache.store(KEYS[1], _value_for(KEYS[1]))
-        path = tmp_path / "objects" / KEYS[1][:2] / f"{KEYS[1]}.pkl"
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])  # truncate mid-pickle
+        with sqlite3.connect(cache.path) as db:
+            (blob,) = db.execute("SELECT value FROM entries").fetchone()
+            db.execute(  # truncate mid-pickle
+                "UPDATE entries SET value = ?", (blob[: len(blob) // 2],)
+            )
         hit, value = cache.load(KEYS[1])
         assert not hit and value is None
         assert cache.stats.errors == 1
-        assert not path.exists()  # corrupt entry deleted, not retried
+        assert cache.entry_count() == 0  # corrupt entry deleted, not retried
 
     def test_atomic_publication_never_exposes_partial(self, tmp_path):
         """A reader polling while a writer stores sees miss → full
-        value, never a partial pickle (pins the os.replace path)."""
+        value, never a partial pickle (pins the one-transaction commit)."""
         cache_dir = str(tmp_path)
         key = KEYS[2]
         stop = threading.Event()

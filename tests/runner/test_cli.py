@@ -28,7 +28,7 @@ class TestRunCommand:
         assert code == 0
         assert (out_dir / "fig04.txt").is_file()
         assert "sweep-runner:" in capsys.readouterr().out
-        assert (cache_dir / "objects").is_dir()
+        assert (cache_dir / "results-v2.sqlite").is_file()
 
     def test_warm_run_hits_cache(self, cache_dir, capsys):
         assert main(["run", "fig04", "--cache-stats"]) == 0
@@ -42,7 +42,7 @@ class TestRunCommand:
     def test_no_cache_flag_disables_caching(self, cache_dir, capsys):
         assert main(["run", "fig04", "--no-cache", "--cache-stats"]) == 0
         assert "0 hit(s)" in capsys.readouterr().out
-        assert not (cache_dir / "objects").exists()
+        assert not cache_dir.exists()
 
 
 

@@ -2,6 +2,7 @@
 BaseException discipline of the result cache."""
 
 import pickle
+import sqlite3
 
 import pytest
 
@@ -116,12 +117,12 @@ class TestCacheExceptionDiscipline:
     def test_corrupt_entry_recomputes_instead_of_raising(self, tmp_path):
         cache = ResultCache(tmp_path, version="1")
         cache.store("ab" * 32, 42)
-        path = cache._path("ab" * 32)
-        path.write_bytes(b"not a pickle")
+        with sqlite3.connect(cache.path) as db:
+            db.execute("UPDATE entries SET value = ?", (b"not a pickle",))
         hit, value = cache.load("ab" * 32)
         assert (hit, value) == (False, None)
         assert cache.stats.errors == 1
-        assert not path.exists()  # corrupt entry dropped
+        assert cache.entry_count() == 0  # corrupt entry dropped
 
     def test_keyboard_interrupt_propagates(self, tmp_path, monkeypatch):
         """Regression: a bare ``except Exception`` here used to swallow
@@ -132,7 +133,7 @@ class TestCacheExceptionDiscipline:
         def interrupted(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pickle, "load", interrupted)
+        monkeypatch.setattr(pickle, "loads", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cache.load("cd" * 32)
         assert cache.stats.errors == 0
@@ -144,6 +145,6 @@ class TestCacheExceptionDiscipline:
         def exiting(*_args, **_kwargs):
             raise SystemExit(1)
 
-        monkeypatch.setattr(pickle, "load", exiting)
+        monkeypatch.setattr(pickle, "loads", exiting)
         with pytest.raises(SystemExit):
             cache.load("ef" * 32)

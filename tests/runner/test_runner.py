@@ -78,7 +78,7 @@ class TestRunPoints:
         runner = SweepRunner(use_cache=False)
         runner.run_points(_grid())
         assert runner.cache is None
-        assert not (tmp_path / "objects").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_parallel_matches_serial(self, tmp_path):
         points = _grid()

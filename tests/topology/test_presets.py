@@ -1,7 +1,11 @@
 """Tests for the canonical topologies (repro.topology.presets)."""
 
+from pathlib import Path
+
 import pytest
 
+from repro import Session
+from repro.faults import FaultScenario, LinkFail
 from repro.topology.link import LinkTier
 from repro.topology.presets import (
     FRONTIER_SINGLE_LINK_PAIRS,
@@ -9,6 +13,9 @@ from repro.topology.presets import (
     frontier_node,
     single_gpu_node,
 )
+from repro.units import MiB
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestFrontierPreset:
@@ -173,3 +180,48 @@ class TestClusterPreset:
             resolve_topology("mi250x-cluster-1")
         with pytest.raises(ConfigurationError):
             resolve_topology("mi250x-cluster-many")
+
+
+class TestSharedFrontierNode:
+    """The default Fig. 1 node is built once per process and shared."""
+
+    NBYTES = 64 * MiB
+
+    def _peer_copy_time(self, session):
+        hip = session.hip
+
+        def run():
+            src = hip.malloc(self.NBYTES, device=1)
+            dst = hip.malloc(self.NBYTES, device=3)
+            t0 = hip.now
+            yield from hip.memcpy_peer(dst, 3, src, 1)
+            return hip.now - t0
+
+        return session.run(run())
+
+    def test_default_node_is_one_instance(self):
+        assert frontier_node() is frontier_node()
+        assert Session().topology is Session().topology is frontier_node()
+
+    def test_named_build_is_a_distinct_object(self):
+        named = frontier_node(name="x")
+        assert named is not frontier_node()
+        assert named.name == "x"
+        assert named.fingerprint() == frontier_node().fingerprint()
+
+    def test_faulted_session_leaves_the_shared_node_healthy(self):
+        before = self._peer_copy_time(Session())
+        scenario = FaultScenario.load(
+            REPO / "benchmarks" / "scenarios" / "degrade_xgmi.json"
+        )
+        scenario = FaultScenario(
+            events=scenario.events + (LinkFail(link="gcd0-gcd2:single", at=0.0),)
+        )
+        faulted = Session(faults=scenario)
+        assert faulted.topology is frontier_node()
+        assert self._peer_copy_time(faulted) > before
+        assert faulted.node.failed_links()
+        fresh = Session()
+        assert fresh.topology is frontier_node()
+        assert not fresh.node.failed_links()
+        assert self._peer_copy_time(fresh) == before
