@@ -9,13 +9,15 @@ Everything the paper compares measurements against:
 - HBM peak (1.6 TB/s per GCD);
 - the collective latency lower bounds of §VI: single-round
   collectives ≥ min p2p latency (8.7 µs), dual-round ≥ twice that
-  (17.4 µs).
+  (17.4 µs);
+- the max-rate time of an RCCL ring collective (every flow at its
+  cap), exact when no fabric channel binds and a lower bound always.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..errors import BenchmarkError
 from ..topology.link import LinkTier
@@ -107,6 +109,60 @@ def collective_latency_bound(
         raise BenchmarkError(f"unknown collective {collective!r}")
     base = min_p2p_latency(calibration)
     return CollectiveLatencyBound(name, rounds, rounds * base)
+
+
+def max_rate_collective_time(
+    comm: Any, collective: str, nbytes: int, root: int = 0
+) -> float:
+    """Bienz et al.'s max-rate time of one RCCL ring collective.
+
+    Every segment flow of a step runs at its own cap, the segment's
+    kernel rate (``comm.segment_rate``), so a step lasts as long as its
+    slowest segment, relay penalty included, plus the per-step
+    overhead:
+
+    ``launch + steps * (max over segments of
+    (relay_penalty * [relayed] + chunk / rate) + step_overhead)``
+
+    ``allreduce`` runs ``2(n-1)`` steps of ``ceil(S/n)``-byte chunks;
+    ``reduce``, ``reduce_scatter`` and ``allgather`` run ``n-1``.
+    ``broadcast`` pipelines ``min(S, rccl_chunk_bytes)`` chunks along
+    the ``n-1`` forward segments from ``root`` in ``(n-1) +
+    (num_chunks-1)`` stages, at ``rate * rccl_ll_efficiency``.
+
+    The simulated time equals this (to rounding) when no fabric
+    channel binds, and is never shorter: a rate never exceeds its cap.
+    ``comm`` is an :class:`~repro.rccl.communicator.RcclCommunicator`
+    with at least two members.
+    """
+    calibration = comm.calibration
+    n = comm.size
+    name = collective.lower()
+    factor = 1.0
+    if name == "broadcast":
+        factor = calibration.rccl_ll_efficiency
+        chunk = min(nbytes, calibration.rccl_chunk_bytes)
+        segments = []
+        member = root
+        for _ in range(n - 1):
+            segment = comm.ring.segment_from(member)
+            segments.append(segment)
+            member = segment.dst
+        steps = len(segments) + -(-nbytes // chunk) - 1
+    elif name in DUAL_ROUND_COLLECTIVES | SINGLE_ROUND_COLLECTIVES:
+        chunk = -(-nbytes // n)
+        segments = list(comm.ring.segments)
+        steps = 2 * (n - 1) if name == "allreduce" else n - 1
+    else:
+        raise BenchmarkError(f"unknown collective {collective!r}")
+    slowest = max(
+        (calibration.rccl_relay_penalty if segment.is_relayed else 0.0)
+        + chunk / (comm.segment_rate(segment) * factor)
+        for segment in segments
+    )
+    return calibration.rccl_launch_overhead + steps * (
+        slowest + calibration.rccl_step_overhead
+    )
 
 
 def utilization(measured: float, theoretical: float) -> float:

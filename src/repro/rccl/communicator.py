@@ -15,6 +15,7 @@ from ..context import active
 from ..errors import RcclError
 from ..faults.retry import NO_RETRY, RetryPolicy
 from ..hardware.node import HardwareNode
+from ..topology.routing import Route
 from .ring import Ring, build_greedy_ring
 
 
@@ -54,6 +55,10 @@ class RcclCommunicator:
         self.algorithm = resolved
         self._ring_builder = ring_builder
         self.ring_rebuilds = 0
+        # segment_rate memo: (src, dst) -> (route, rate).  The route is
+        # compared by identity, since hashing a segment hashes its whole
+        # route; one entry per member pair bounds the dict.
+        self._segment_rates: dict[tuple[int, int], tuple[Route, float]] = {}
         if len(self.gcds) >= 2:
             # Plan around links already known dead; custom builders
             # without an avoid_links parameter keep working.
@@ -114,12 +119,18 @@ class RcclCommunicator:
         link; relayed segments (no direct link between the members)
         sustain only ``rccl_relay_efficiency`` of the path's kernel
         rate (the ring FIFO's flow-control window cannot cover the
-        doubled round trip).
+        doubled round trip).  The rate depends only on the segment's
+        route, its frozen link tiers and the calibration profile, so it
+        is computed once per member pair and route.
         """
+        entry = self._segment_rates.get((segment.src, segment.dst))
+        if entry is not None and entry[0] is segment.route:
+            return entry[1]
         tier = self.node.bottleneck_tier(segment.route)
         rate = self.calibration.kernel_remote_cap(tier, bidirectional=False)
         if segment.is_relayed:
             rate *= self.calibration.rccl_relay_efficiency
+        self._segment_rates[segment.src, segment.dst] = (segment.route, rate)
         return rate
 
     def describe(self) -> str:

@@ -4,12 +4,15 @@ The measurement grid is embarrassingly parallel — every
 :class:`~repro.runner.points.SimPoint` builds its own simulated node —
 so the runner's job is bookkeeping, not synchronization:
 
-1. probe the :class:`~repro.runner.cache.ResultCache` for every point;
-2. execute the misses, either in-process (``jobs=1``) or over a
-   ``ProcessPoolExecutor`` (``jobs>1``), falling back to serial
-   execution if a pool cannot be started (restricted sandboxes);
-3. store fresh outputs (one cache commit per grid) and return them
-   **in point order**, so the assembled
+1. key every point, and probe the
+   :class:`~repro.runner.cache.ResultCache` once per distinct key;
+2. execute the misses, each distinct key once, either in-process
+   (``jobs=1``) or over a ``ProcessPoolExecutor`` (``jobs>1``),
+   falling back to serial execution if a pool cannot be started
+   (restricted sandboxes);
+3. store fresh outputs (one cache commit per grid), copy each output
+   to the other points with its key, and return them **in point
+   order**, so the assembled
    :class:`~repro.core.experiment.ExperimentResult` is bit-identical
    regardless of ``jobs`` (enforced by the differential tests in
    ``tests/runner/``).
@@ -17,6 +20,7 @@ so the runner's job is bookkeeping, not synchronization:
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -25,6 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from ..context import SimContext, active, use
 from .cache import ResultCache
+from .keys import UncacheableValueError, point_key
 
 # Both trampolines stay module globals looked up at call time, so a
 # profiler can wrap them here by name.
@@ -71,8 +76,10 @@ class RunnerStats:
     Cache counters are **this runner's own** hits/misses — deltas of
     the (possibly shared) :class:`~repro.runner.cache.CacheStats`
     observed around each ``run_points`` call, not the cache's lifetime
-    totals.  ``metrics`` holds the merged per-point metrics snapshot
-    when the runner was built with ``capture_metrics=True``; ``spans``
+    totals — plus one hit per point that shares its key with an
+    earlier point of the same grid (cache or not).  ``metrics`` holds
+    the merged per-point metrics snapshot when the runner was built
+    with ``capture_metrics=True``; ``spans``
     holds the merged causal-span timeline (per-point span sets laid
     end-to-end in point order under synthetic point roots) when built
     with ``capture_spans=True``.
@@ -217,7 +224,13 @@ class SweepRunner:
     # -- point execution ------------------------------------------------
 
     def run_points(self, points: Sequence[SimPoint]) -> list[Any]:
-        """Execute a grid; returns outputs in point order."""
+        """Execute a grid; returns outputs in point order.
+
+        Points that share a cache key run once per grid: the first one
+        is looked up, executed and stored, and the others get a copy of
+        its output and count as cache hits.  Keys are computed with or
+        without a cache.
+        """
         points = list(points)
         started = time.perf_counter()
         # Snapshot the cache counters so the stats report *this
@@ -230,20 +243,21 @@ class SweepRunner:
             uncacheable_before = self.cache.stats.uncacheable
         outputs: list[Any] = [None] * len(points)
         keys: list[str | None] = [None] * len(points)
+        first: dict[str, int] = {}
         pending: list[int] = []
         context = self._context()
         for index, point in enumerate(points):
-            key = (
-                self.cache.key_for(self._keyed_point(point, context))
-                if self.cache is not None
-                else None
-            )
+            key = self._key(self._keyed_point(point, context))
             keys[index] = key
             if key is not None:
-                hit, value = self.cache.load(key)
-                if hit:
-                    outputs[index] = value
+                if key in first:
                     continue
+                first[key] = index
+                if self.cache is not None:
+                    hit, value = self.cache.load(key)
+                    if hit:
+                        outputs[index] = value
+                        continue
             pending.append(index)
         if pending:
             fresh = self._execute([points[i] for i in pending], context)
@@ -255,8 +269,14 @@ class SweepRunner:
                     for index in pending:
                         if keys[index] is not None:
                             self.cache.store(keys[index], outputs[index])
+        duplicates = 0
+        for index, key in enumerate(keys):
+            if key is not None and first[key] != index:
+                outputs[index] = copy.deepcopy(outputs[first[key]])
+                duplicates += 1
         self.stats.points += len(points)
         self.stats.executed += len(pending)
+        self.stats.cache_hits += duplicates
         if self.cache is not None:
             self.stats.cache_hits += self.cache.stats.hits - hits_before
             self.stats.cache_misses += self.cache.stats.misses - misses_before
@@ -265,6 +285,19 @@ class SweepRunner:
             )
         self.stats.wall_seconds += time.perf_counter() - started
         return outputs
+
+    def _key(self, point: SimPoint) -> str | None:
+        """The point's cache key, or ``None`` if it is uncacheable.
+
+        Without a cache the key only finds duplicates within one grid,
+        so no package version goes into it.
+        """
+        if self.cache is not None:
+            return self.cache.key_for(point)
+        try:
+            return point_key(point, version="")
+        except UncacheableValueError:
+            return None
 
     def _overrides(self) -> dict[str, Any]:
         """The context keywords this runner was given."""

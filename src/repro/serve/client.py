@@ -71,18 +71,19 @@ class ServeClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 return json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            retry_after = None
-            header = exc.headers.get("Retry-After") if exc.headers else None
-            if header is not None:
+            with exc:  # the error holds the response's socket
+                retry_after = None
+                header = exc.headers.get("Retry-After") if exc.headers else None
+                if header is not None:
+                    try:
+                        retry_after = float(header)
+                    except ValueError:
+                        pass
                 try:
-                    retry_after = float(header)
-                except ValueError:
-                    pass
-            try:
-                detail = json.loads(exc.read().decode("utf-8"))
-                message = detail.get("error", str(detail))
-            except (ValueError, OSError):
-                message = exc.reason or "request failed"
+                    detail = json.loads(exc.read().decode("utf-8"))
+                    message = detail.get("error", str(detail))
+                except (ValueError, OSError):
+                    message = exc.reason or "request failed"
             raise ServeError(
                 exc.code, str(message), retry_after=retry_after
             ) from None

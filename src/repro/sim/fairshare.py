@@ -35,9 +35,14 @@ The per-component core, :func:`_fill`, is one scalar loop for every
 component size, and dirty-set replay resumes the same loop mid-solve.
 It gives channels dense local ids and keeps per-channel counts of
 unfrozen flows incrementally; since all unfrozen flows share one fill
-level, a single running sum stands in for their rates.  A lone flow
-takes a closed-form fast path.  ``tests/sim/flow_oracle.py`` holds an
-independent set-based reference loop the core must match bitwise.
+level, a single running sum stands in for their rates.  Cap
+constraints are leveled per distinct cap value: flows with equal caps
+share one headroom, one freeze test and one clamp, so a round costs
+one step per cap group, not per capped flow.  A component that
+crosses no bindable channel (every rate is its cap) is filled by the
+cap groups alone.  A lone flow takes a closed-form fast path.
+``tests/sim/flow_oracle.py`` holds an independent set-based reference
+loop the core must match bitwise.
 
 Channels that can never bind are left out of every fill.  One
 predicate, :func:`_may_bind`, decides it: a channel with an uncapped
@@ -229,7 +234,11 @@ def _fill(
     can never fill or bind, from any state of the fill.  Indexed
     channels get dense local ids, and the per-channel count of unfrozen
     flows is decremented as flows freeze; ``live`` keeps the channels
-    that still have some.
+    that still have some.  Capped flows are grouped by cap value, and
+    ``groups`` keeps the groups with unfrozen members: a group freezes
+    whole once the level is within the cap slack of its cap, and the
+    clamp to the cap also reaches members a channel froze in the same
+    round (they keep the channel's blame).
 
     A fresh solve starts from full capacities at level 0.0 in round 0.
     A resumed one (dirty-set replay) passes the reconstructed
@@ -246,20 +255,21 @@ def _fill(
     index: dict[ChannelId, int] = {}
     members: list[list[int]] = []
     flow_channels: list[list[int]] = []
-    for j, flow in enumerate(flows):
-        own: list[int] = []
-        for channel in flow.channels:
-            if channel not in bindable:
-                continue
-            c = index.get(channel)
-            if c is None:
-                index[channel] = c = len(members)
-                members.append([j])
-                own.append(c)
-            elif members[c][-1] != j:  # a route may repeat a channel
-                members[c].append(j)
-                own.append(c)
-        flow_channels.append(own)
+    if bindable:  # an empty set means no channel to index, in O(1)
+        for j, flow in enumerate(flows):
+            own: list[int] = []
+            for channel in flow.channels:
+                if channel not in bindable:
+                    continue
+                c = index.get(channel)
+                if c is None:
+                    index[channel] = c = len(members)
+                    members.append([j])
+                    own.append(c)
+                elif members[c][-1] != j:  # a route may repeat a channel
+                    members[c].append(j)
+                    own.append(c)
+            flow_channels.append(own)
     channel_ids = list(index)
     capacity = [capacities[channel] for channel in channel_ids]
     if residuals is None:
@@ -268,25 +278,36 @@ def _fill(
         residual = [residuals[channel] for channel in channel_ids]
     full_at = [_saturation_level(cap) for cap in capacity]
     count = [len(group) for group in members]
-    caps = [flow.cap for flow in flows]
     live = list(range(len(members)))
-    capped = [j for j in range(n) if caps[j] < math.inf]
-    cap_at = [cap - _CAP_SLACK * cap for cap in caps]
+    # Cap groups: the unfrozen capped flows by distinct cap value, in
+    # flow order.  A group's members share one headroom, one freeze
+    # test and one clamp, so each round computes them once per group.
+    ids = [flow.flow_id for flow in flows]
+    by_cap: dict[float, list[int]] = {}
+    for j, flow in enumerate(flows):
+        cap = flow.cap
+        if cap < math.inf:
+            group = by_cap.get(cap)
+            if group is None:
+                by_cap[cap] = [j]
+            else:
+                group.append(j)
+    groups = [(cap, cap - _CAP_SLACK * cap, group) for cap, group in by_cap.items()]
     rate = [level] * n
     frozen = [False] * n
     unfrozen = n
 
     while unfrozen:
         shares = [residual[c] / count[c] for c in live]
-        delta = min(shares) if shares else math.inf
-        for j in capped:
-            headroom = caps[j] - level
+        delta = min(shares) if live else math.inf
+        for cap, _, _ in groups:
+            headroom = cap - level
             if headroom < delta:
                 delta = headroom
         if delta == math.inf:
-            ids = [repr(flows[j].flow_id) for j in range(n) if not frozen[j]]
+            unfrozen_ids = [repr(ids[j]) for j in range(n) if not frozen[j]]
             raise SimulationError(
-                f"unconstrained flows (no channels and no cap): {sorted(ids)}"
+                f"unconstrained flows (no channels and no cap): {sorted(unfrozen_ids)}"
             )
         delta = max(delta, 0.0)
 
@@ -294,13 +315,14 @@ def _fill(
             trace.deltas.append(delta)
             trace.binding_channels.append(
                 tuple(
-                    channel_ids[c]
-                    for c, share in zip(live, shares)
-                    if share == delta
+                    [channel_ids[c] for c, share in zip(live, shares) if share == delta]
                 )
             )
+            binding = [group for cap, _, group in groups if cap - level == delta]
+            if len(binding) > 1:
+                binding = [sorted(j for group in binding for j in group)]
             trace.binding_caps.append(
-                tuple(flows[j].flow_id for j in capped if caps[j] - level == delta)
+                tuple([ids[j] for j in binding[0]]) if binding else ()
             )
 
         level += delta
@@ -325,36 +347,55 @@ def _fill(
                     # Blame the first full channel of the route.
                     for own in flow_channels[j]:
                         if not count[own]:
-                            bottlenecks[flows[j].flow_id] = channel_ids[own]
+                            bottlenecks[ids[j]] = channel_ids[own]
                             break
-        still: list[int] = []
-        for j in capped:
-            if level >= cap_at[j]:
-                rate[j] = caps[j]
-                if not frozen[j]:
-                    frozen[j] = True
-                    frozen_now.append(j)
-                    if bottlenecks is not None:
-                        bottlenecks[flows[j].flow_id] = None
-            elif not frozen[j]:
-                still.append(j)
-        capped = still
+        # Groups at their cap freeze whole.  The clamp also reaches the
+        # members a channel froze this round; they keep its blame.
+        at_cap: list[int] = []
+        still = []
+        for entry in groups:
+            cap, cap_at, group = entry
+            if level < cap_at:
+                still.append(entry)
+                continue
+            for j in group:
+                rate[j] = cap
+            if frozen_now:
+                group = [j for j in group if not frozen[j]]
+            if at_cap and group and group[0] < at_cap[-1]:
+                at_cap = sorted(at_cap + group)  # keep flow order
+            else:
+                at_cap += group
+        if at_cap:
+            for j in at_cap:
+                frozen[j] = True
+            if bottlenecks is not None:
+                bottlenecks.update(dict.fromkeys([ids[j] for j in at_cap]))
+        if frozen_now and still:
+            # Drop the flows a channel froze from the groups still live.
+            for _, _, group in still:
+                group[:] = [j for j in group if not frozen[j]]
+            still = [entry for entry in still if entry[2]]
+        groups = still
+        frozen_now += at_cap
         if not frozen_now:
             raise SimulationError("progressive filling made no progress")
         if trace is not None:
             for c in full:
                 trace.full_round.setdefault(channel_ids[c], round_index)
-            for j in frozen_now:
-                trace.freeze_round[flows[j].flow_id] = round_index
+            trace.freeze_round.update(
+                dict.fromkeys([ids[j] for j in frozen_now], round_index)
+            )
         unfrozen -= len(frozen_now)
-        for j in frozen_now:
-            for c in flow_channels[j]:
-                if count[c]:
-                    count[c] -= 1
-        live = [c for c in live if count[c]]
+        if members:
+            for j in frozen_now:
+                for c in flow_channels[j]:
+                    if count[c]:
+                        count[c] -= 1
+            live = [c for c in live if count[c]]
         round_index += 1
 
-    return {flow.flow_id: rate[j] for j, flow in enumerate(flows)}
+    return dict(zip(ids, rate))
 
 
 def _solve_component(
@@ -399,6 +440,11 @@ def _solve_component(
                 bottleneck = channel
                 break
         bottlenecks[flow.flow_id] = bottleneck
+    cap = flow.cap
+    if best < cap and best >= cap - _CAP_SLACK * cap:
+        # The filling loop's clamp: a channel that freezes the flow
+        # within the cap slack of its cap leaves it at the cap.
+        best = cap
     return {flow.flow_id: best}
 
 
@@ -1133,22 +1179,20 @@ class FairshareSolver:
             # Patch this round's binding record in place if the dirty
             # set touched it (stale equalities would mis-certify later
             # replays; untouched rounds keep their tuples allocation-free).
-            rebuilt_bch = dirty_binding or any(
-                channel in dirty_set for channel in orig_bch
-            )
+            rebuilt_bch = dirty_binding or not dirty_set.isdisjoint(orig_bch)
             if rebuilt_bch:
-                trace.binding_channels[r] = (
-                    tuple(c for c in orig_bch if c not in dirty_set)
-                    + tuple(dirty_binding)
+                trace.binding_channels[r] = tuple(
+                    [c for c in orig_bch if c not in dirty_set] + dirty_binding
                 )
             rebuilt_bcap = added_binding or (
-                removed_ids and any(fid in removed_ids for fid in orig_bcap)
+                removed_ids and not removed_ids.isdisjoint(orig_bcap)
             )
             if rebuilt_bcap:
-                trace.binding_caps[r] = (
-                    tuple(f for f in orig_bcap if f not in removed_ids)
-                    + tuple(added_binding)
-                )
+                if removed_ids:
+                    orig_bcap = tuple(
+                        [f for f in orig_bcap if f not in removed_ids]
+                    )
+                trace.binding_caps[r] = orig_bcap + tuple(added_binding)
             r += 1
 
         if diverged < 0:

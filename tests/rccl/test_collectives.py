@@ -6,7 +6,7 @@ from repro.errors import RcclError
 from repro.hardware.node import HardwareNode
 from repro.rccl.collectives import RCCL_COLLECTIVES
 from repro.rccl.communicator import RcclCommunicator
-from repro.rccl.ring import build_optimal_ring
+from repro.rccl.ring import RingSegment, build_optimal_ring
 from repro.units import MiB, to_us
 
 
@@ -57,6 +57,28 @@ class TestCommunicator:
         assert comm.segment_rate(relayed) == pytest.approx(
             0.7 * direct_rate
         )
+
+    def test_segment_rate_memo_follows_the_route(self):
+        # Tree collectives build fresh segments on every call: the memo
+        # holds one entry per member pair.  A pair seen again with
+        # another route is computed afresh, not served from the memo.
+        node = HardwareNode()
+        comm = RcclCommunicator(node, algorithm="tree")
+        node.engine.run_process(comm.allreduce(1 * MiB))
+        pairs = set(comm._segment_rates)
+        node.engine.run_process(comm.allreduce(1 * MiB))
+        assert set(comm._segment_rates) == pairs
+        direct = comm.ring.segments[0]
+        relayed = next(
+            s
+            for s in RcclCommunicator(node, gcds=list(range(7))).ring.segments
+            if s.is_relayed
+        )
+        swapped = RingSegment(direct.src, direct.dst, relayed.route)
+        fresh = RcclCommunicator(HardwareNode())
+        assert comm.segment_rate(direct) == fresh.segment_rate(direct)
+        assert comm.segment_rate(swapped) == fresh.segment_rate(relayed)
+        assert comm.segment_rate(direct) == fresh.segment_rate(direct)
 
 
 class TestCollectiveExecution:

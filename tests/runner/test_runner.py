@@ -203,3 +203,73 @@ class TestExperimentAPI:
         for eid, result in results.items():
             assert result.canonical() == figures.run(eid).canonical()
             assert result.wall_seconds > 0
+
+
+@pytest.fixture(scope="module")
+def fig11_fig12_alone():
+    """fig11 and fig12 points and their per-artifact outputs."""
+    from repro import figures
+
+    alone = {}
+    for eid in ("fig11", "fig12"):
+        points = figures.sweep_points(eid)
+        alone[eid] = (points, SweepRunner(use_cache=False).run_points(points))
+    return alone
+
+
+class TestInGridDuplicates:
+    """Points that share a key run once per grid (fig11 and fig12
+    share 35 collective points)."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"use_cache": False}, {"jobs": 2, "use_cache": False}],
+        ids=["cache", "no-cache", "jobs2"],
+    )
+    def test_run_many_executes_shared_points_once(
+        self, tmp_path, monkeypatch, fig11_fig12_alone, kwargs
+    ):
+        executed = []
+        execute = SweepRunner._execute
+
+        def spy(runner, points, context):
+            executed.extend(points)
+            return execute(runner, points, context)
+
+        monkeypatch.setattr(SweepRunner, "_execute", spy)
+        runner = SweepRunner(cache_dir=str(tmp_path), **kwargs)
+        flat = [p for eid in ("fig11", "fig12") for p in fig11_fig12_alone[eid][0]]
+        outputs = runner.run_points(flat)
+        assert len(executed) == len(flat) - 35
+        assert runner.stats.executed == len(flat) - 35
+        assert runner.stats.cache_hits == 35
+        assert outputs == [
+            value for eid in ("fig11", "fig12") for value in fig11_fig12_alone[eid][1]
+        ]
+
+        executed.clear()
+        results = SweepRunner(cache_dir=str(tmp_path / "many"), **kwargs).run_many(
+            ["fig11", "fig12"]
+        )
+        assert len(executed) == len(flat) - 35
+        from repro import figures
+
+        for eid, (points, alone) in fig11_fig12_alone.items():
+            expected = figures.merge_outputs(eid, points, alone)
+            assert results[eid].canonical() == expected.canonical()
+
+    def test_duplicates_without_a_cache_run_once(self):
+        points = _grid((1 * MiB, 1 * MiB))
+        runner = SweepRunner(use_cache=False)
+        first, second = runner.run_points(points)
+        assert first == second == points[0].execute()
+        assert runner.stats.executed == 1 and runner.stats.cache_hits == 1
+
+    def test_cold_grid_counts_add_up(self, tmp_path):
+        points = _grid((1 * MiB, 2 * MiB, 1 * MiB))
+        runner = SweepRunner(cache=ResultCache(tmp_path, version="1"))
+        runner.run_points(points)
+        stats = runner.stats
+        assert (stats.executed, stats.cache_hits, stats.cache_misses) == (2, 1, 2)
+        assert stats.cache_hits + stats.cache_misses + stats.uncacheable == 3
+        assert runner.cache.stats.stores == 2

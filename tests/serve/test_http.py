@@ -5,8 +5,11 @@ SimService → SweepRunner — the way ``repro submit`` and the load-test
 harness drive it.
 """
 
+import email.message
+import io
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -114,7 +117,8 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:  # close the response's socket
+            assert error.code == 400
 
     def test_non_object_body_400(self, server):
         _, url = server
@@ -126,7 +130,8 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:  # close the response's socket
+            assert error.code == 400
 
     def test_failed_job_raises_on_wait(self, server, client, monkeypatch):
         srv, _ = server
@@ -202,3 +207,21 @@ class TestClientTransport:
         second = other.wait(other.submit_run("fig04"), timeout=300)
         assert second["result"]["runner"]["cache_misses"] == 0
         assert second["result"]["canonical"] == first["result"]["canonical"]
+
+    def test_error_answer_closes_its_response(self, monkeypatch):
+        # An HTTPError holds the answer's response (and its socket);
+        # the client must close it, not leave it to the collector.
+        body = io.BytesIO(b'{"error": "quota exhausted"}')
+        headers = email.message.Message()
+        headers["Retry-After"] = "2"
+
+        def refuse(request, timeout):
+            raise urllib.error.HTTPError(request.full_url, 429, "Too Many", headers, body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        client = ServeClient("http://127.0.0.1:9")
+        with pytest.raises(ServeError) as excinfo:
+            client.health()
+        assert (excinfo.value.status, excinfo.value.retry_after) == (429, 2.0)
+        assert "quota exhausted" in str(excinfo.value)
+        assert body.closed

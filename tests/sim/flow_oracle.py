@@ -32,7 +32,14 @@ from repro.errors import LinkDownError, SimulationError
 from repro.obs.metrics import metric_name
 from repro.obs.spans import SpanRecorder
 from repro.sim.engine import SimEngine
-from repro.sim.fairshare import FlowSpec, _validate_problem
+from repro.sim.fairshare import (
+    FairshareSolver,
+    FlowSpec,
+    _solve_component,
+    _Trace,
+    _validate_problem,
+    max_min_fair_rates,
+)
 from repro.sim.flow import Flow
 
 _EPSILON_BYTES = 1e-6
@@ -195,6 +202,42 @@ def max_min_fair_rates_reference(
     _validate_problem(flows, capacities)
     return reference_fill(flows, capacities, bottlenecks)
 
+
+
+def solve_both(flows, capacities):
+    """Core and reference results: (rates, bottlenecks, trace fields)."""
+    results = []
+    for solve in (_solve_component, reference_fill):
+        bottlenecks: dict = {}
+        trace = _Trace()
+        rates = solve(flows, capacities, bottlenecks, trace)
+        results.append(
+            (
+                rates,
+                bottlenecks,
+                trace.deltas,
+                trace.freeze_round,
+                trace.full_round,
+                [set(channels) for channels in trace.binding_channels],
+                [set(caps) for caps in trace.binding_caps],
+            )
+        )
+    return results
+
+
+def assert_matches_oracles(solver: FairshareSolver) -> None:
+    """Cached rates and freeze reasons equal both from-scratch solves."""
+    flows = solver.flows()
+    capacities = solver.capacities()
+    bottlenecks: dict = {}
+    assert solver.rates() == max_min_fair_rates(flows, capacities, bottlenecks)
+    assert solver.bottlenecks() == bottlenecks
+    reference: dict = {}
+    reference_bottlenecks: dict = {}
+    for component in reference_components(flows):
+        reference.update(reference_fill(component, capacities, reference_bottlenecks))
+    assert solver.rates() == reference
+    assert solver.bottlenecks() == reference_bottlenecks
 
 class OracleFlowNetwork:
     """Per-event batch re-solve with per-flow scalar integration.

@@ -20,15 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.fairshare as fairshare
-from repro.sim.fairshare import FairshareSolver, FlowSpec, max_min_fair_rates
+from repro.sim.fairshare import FairshareSolver, FlowSpec
 from repro.sim.flow import FlowNetwork
 
-from .flow_oracle import (
-    OracleFlowNetwork,
-    reference_components,
-    reference_fill,
-    run_workload,
-)
+from .flow_oracle import OracleFlowNetwork, assert_matches_oracles, run_workload
 
 INF = float("inf")
 CAPACITIES = {"a": 100.0, "b": 100.0, "c": 60.0, "d": 150.0}
@@ -112,21 +107,6 @@ def apply(solver: FairshareSolver, op) -> None:
             solver.remove_flow(op[1])
     else:
         solver.set_capacity(op[1], op[2])
-
-
-def assert_matches_oracles(solver: FairshareSolver) -> None:
-    """Cached rates and freeze reasons equal both from-scratch solves."""
-    flows = solver.flows()
-    capacities = solver.capacities()
-    bottlenecks: dict = {}
-    assert solver.rates() == max_min_fair_rates(flows, capacities, bottlenecks)
-    assert solver.bottlenecks() == bottlenecks
-    reference: dict = {}
-    reference_bottlenecks: dict = {}
-    for component in reference_components(flows):
-        reference.update(reference_fill(component, capacities, reference_bottlenecks))
-    assert solver.rates() == reference
-    assert solver.bottlenecks() == reference_bottlenecks
 
 
 class TestThresholdChurn:

@@ -17,34 +17,13 @@ from hypothesis import strategies as st
 import repro.sim.fairshare as fairshare
 import repro.topology.presets as presets
 from repro import Session
-from repro.sim.fairshare import FlowSpec, _solve_component, _Trace
+from repro.sim.fairshare import FlowSpec
 
-from .flow_oracle import reference_fill
+from .flow_oracle import solve_both
 
 #: Capacities drawn from a small set so that fair shares tie often; an
 #: unbounded channel must never saturate.
 CAPACITIES = (30.0, 60.0, 90.0, 120.0, math.inf)
-
-
-def solve_both(flows, capacities):
-    """Core and reference results: (rates, bottlenecks, trace fields)."""
-    results = []
-    for solve in (_solve_component, reference_fill):
-        bottlenecks: dict = {}
-        trace = _Trace()
-        rates = solve(flows, capacities, bottlenecks, trace)
-        results.append(
-            (
-                rates,
-                bottlenecks,
-                trace.deltas,
-                trace.freeze_round,
-                trace.full_round,
-                [set(channels) for channels in trace.binding_channels],
-                [set(caps) for caps in trace.binding_caps],
-            )
-        )
-    return results
 
 
 @st.composite
