@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 from ..errors import CalibrationError
@@ -237,8 +238,16 @@ class CalibrationProfile:
         constant — however small — yields a different fingerprint.
         The result cache (:mod:`repro.runner`) folds this into its
         point keys, which is how perturbing one constant invalidates
-        exactly the simulation points that used this profile.
+        exactly the simulation points that used this profile.  The
+        digest is computed once per instance (:meth:`with_` builds a
+        new one), like :meth:`NodeTopology.fingerprint`.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # Kept in the instance ``__dict__``, outside the dataclass
+        # fields: ``==``, ``repr`` and ``asdict`` never see it.
         import dataclasses
         import hashlib
 

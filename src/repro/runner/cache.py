@@ -22,7 +22,7 @@ import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .keys import UncacheableValueError, point_key
 from .points import SimPoint
@@ -33,6 +33,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: The store inside the cache directory; the suffix is the on-disk
 #: format version (v1 was a sharded ``objects/`` tree of pickle files).
 STORE_FILE = "results-v2.sqlite"
+
+#: Keys per ``SELECT ... IN (...)``: below SQLite's historic limit of
+#: 999 bound variables per statement.
+_READ_CHUNK = 900
 
 
 def default_cache_dir() -> Path:
@@ -161,28 +165,54 @@ class ResultCache:
             return None
 
     def load(self, key: str) -> tuple[bool, Any]:
-        """``(True, value)`` on a hit (an open :meth:`batch` is read
-        first), ``(False, None)`` on a miss."""
-        blob = self._pending.get(key) if self._pending is not None else None
-        if blob is None:
-            rows = self._store().run("SELECT value FROM entries WHERE key = ?", (key,))
-            if not rows:
-                self.stats.misses += 1
-                return False, None
-            blob = rows[0][0]
-        try:
-            value = pickle.loads(blob)["value"]
-        # Corrupt or stale-class entry: drop it.  Not ``except Exception``:
-        # Ctrl-C, SystemExit and programming errors must propagate.
-        except (EOFError, KeyError, IndexError, TypeError, ValueError,
-                pickle.UnpicklingError, AttributeError, ImportError,
-                MemoryError):
-            self.stats.errors += 1
-            self.stats.misses += 1
-            self._store().run("DELETE FROM entries WHERE key = ?", (key,))
-            return False, None
-        self.stats.hits += 1
-        return True, value
+        """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
+        found = self.load_many([key])
+        if key in found:
+            return True, found[key]
+        return False, None
+
+    def load_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        """``{key: value}`` for every hit among the distinct ``keys``.
+
+        An open :meth:`batch` is read first; the rest takes one
+        ``SELECT`` per :data:`_READ_CHUNK` keys.  Each key counts one
+        hit or one miss; an undecodable row also counts an error and
+        is deleted.
+        """
+        keys = list(dict.fromkeys(keys))
+        pending = self._pending or {}
+        blobs = {key: pending[key] for key in keys if key in pending}
+        unread = [key for key in keys if key not in blobs]
+        for start in range(0, len(unread), _READ_CHUNK):
+            chunk = unread[start : start + _READ_CHUNK]
+            rows = self._store().run(
+                "SELECT key, value FROM entries WHERE key IN "
+                f"({','.join('?' * len(chunk))})",
+                tuple(chunk),
+            )
+            if rows:
+                blobs.update(rows)
+        found: dict[str, Any] = {}
+        corrupt: list[tuple[str]] = []
+        for key in keys:
+            blob = blobs.get(key)
+            if blob is None:
+                continue
+            try:
+                found[key] = pickle.loads(blob)["value"]
+            # Corrupt or stale-class entry: drop it.  Not ``except
+            # Exception``: Ctrl-C, SystemExit and programming errors
+            # must propagate.
+            except (EOFError, KeyError, IndexError, TypeError, ValueError,
+                    pickle.UnpicklingError, AttributeError, ImportError,
+                    MemoryError):
+                corrupt.append((key,))
+        if corrupt:
+            self.stats.errors += len(corrupt)
+            self._store().run("DELETE FROM entries WHERE key = ?", corrupt)
+        self.stats.hits += len(found)
+        self.stats.misses += len(keys) - len(found)
+        return found
 
     def store(self, key: str, value: Any) -> None:
         """Persist one point output (when the enclosing :meth:`batch` ends)."""

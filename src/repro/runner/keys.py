@@ -19,12 +19,17 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from .points import SimPoint
 
 #: Bumped when the canonical encoding itself changes.
 KEY_SCHEMA = "repro-point/1"
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call; the bytes are the same.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class UncacheableValueError(TypeError):
@@ -75,14 +80,12 @@ def point_key(point: SimPoint, *, version: str) -> str:
     Raises :class:`UncacheableValueError` when any parameter cannot be
     canonicalized.
     """
-    payload = json.dumps(
+    payload = _encode(
         [
             KEY_SCHEMA,
             version,
             point.fn,
             [[name, canonical_token(value)] for name, value in point.params],
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
+        ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()

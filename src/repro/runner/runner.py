@@ -4,8 +4,9 @@ The measurement grid is embarrassingly parallel — every
 :class:`~repro.runner.points.SimPoint` builds its own simulated node —
 so the runner's job is bookkeeping, not synchronization:
 
-1. key every point, and probe the
-   :class:`~repro.runner.cache.ResultCache` once per distinct key;
+1. key every point, and read the distinct keys from the
+   :class:`~repro.runner.cache.ResultCache` in one
+   :meth:`~repro.runner.cache.ResultCache.load_many` call;
 2. execute the misses, each distinct key once, either in-process
    (``jobs=1``) or over a ``ProcessPoolExecutor`` (``jobs>1``),
    falling back to serial execution if a pool cannot be started
@@ -229,7 +230,9 @@ class SweepRunner:
         Points that share a cache key run once per grid: the first one
         is looked up, executed and stored, and the others get a copy of
         its output and count as cache hits.  Keys are computed with or
-        without a cache.
+        without a cache; the grid's distinct keys are read in one
+        :meth:`ResultCache.load_many` call, and misses execute in point
+        order.
         """
         points = list(points)
         started = time.perf_counter()
@@ -242,23 +245,20 @@ class SweepRunner:
             misses_before = self.cache.stats.misses
             uncacheable_before = self.cache.stats.uncacheable
         outputs: list[Any] = [None] * len(points)
-        keys: list[str | None] = [None] * len(points)
-        first: dict[str, int] = {}
-        pending: list[int] = []
         context = self._context()
-        for index, point in enumerate(points):
-            key = self._key(self._keyed_point(point, context))
-            keys[index] = key
-            if key is not None:
-                if key in first:
-                    continue
+        keys = [self._key(self._keyed_point(point, context)) for point in points]
+        first: dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if key is not None and key not in first:
                 first[key] = index
-                if self.cache is not None:
-                    hit, value = self.cache.load(key)
-                    if hit:
-                        outputs[index] = value
-                        continue
-            pending.append(index)
+        found = self.cache.load_many(first) if self.cache is not None else {}
+        pending: list[int] = []
+        for index, key in enumerate(keys):
+            if key is None or first[key] == index:
+                if key in found:
+                    outputs[index] = found[key]
+                else:
+                    pending.append(index)
         if pending:
             fresh = self._execute([points[i] for i in pending], context)
             for index, value in zip(pending, fresh):

@@ -25,7 +25,6 @@ point is the ``serve`` section of ``repro perf`` (``repro perf --smoke
 from __future__ import annotations
 
 import json
-import math
 import tempfile
 import threading
 import time
@@ -34,7 +33,7 @@ from typing import Any
 from ..errors import BenchmarkError
 from .client import ServeClient
 from .http import create_server
-from .service import ServiceConfig, SimService
+from .service import ServiceConfig, SimService, nearest_rank
 
 #: What-if question pool the waves cycle through (distinct queries →
 #: distinct cache keys, so the cold wave does real work while the warm
@@ -57,11 +56,7 @@ _QUERIES: tuple[dict[str, Any], ...] = (
 
 def _percentile_ms(samples: "list[float]", fraction: float) -> float:
     """Nearest-rank percentile of ``samples`` (seconds), in ms."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return ordered[rank] * 1e3
+    return nearest_rank(samples, fraction) * 1e3
 
 
 def _strip_volatile(value: Any) -> Any:

@@ -23,11 +23,12 @@ tested without sockets:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..context import SimContext
 from ..errors import BenchmarkError
@@ -95,13 +96,16 @@ class ServiceConfig:
     default_tenant: str = "anonymous"
 
 
-def _percentile(samples: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list."""
-    if not samples:
-        return 0.0
+def nearest_rank(samples: Iterable[float], fraction: float) -> float:
+    """Nearest-rank percentile of unsorted samples (0.0 when empty).
+
+    The smallest sample with at least ``fraction`` of all samples at or
+    below it: rank ``ceil(fraction * n) - 1`` of the sorted list.
+    """
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-    return ordered[rank]
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 class SimService:
@@ -500,9 +504,9 @@ class SimService:
         latency = {
             kind: {
                 "count": len(samples),
-                "p50_ms": _percentile(list(samples), 0.50) * 1e3,
-                "p95_ms": _percentile(list(samples), 0.95) * 1e3,
-                "p99_ms": _percentile(list(samples), 0.99) * 1e3,
+                "p50_ms": nearest_rank(samples, 0.50) * 1e3,
+                "p95_ms": nearest_rank(samples, 0.95) * 1e3,
+                "p99_ms": nearest_rank(samples, 0.99) * 1e3,
             }
             for kind, samples in self._latency.items()
             if samples

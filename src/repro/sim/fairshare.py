@@ -1121,35 +1121,32 @@ class FairshareSolver:
                 diverged = r
                 break
 
-            # Apply the certified delta to the dirty state (snapshot
-            # first: a saturation mismatch must rewind to round start).
-            snap_res = {
-                channel: dres[channel] for channel in counts
-            }
-            snap_rate = dict(a_rate)
-            for channel, count in counts.items():
-                dres[channel] -= delta * count
-            for fid in a_spec:
-                if fid not in a_frozen:
-                    a_rate[fid] += delta
-
-            # (c) dirty saturation must match the recording.
+            # (c) dirty saturation must match the recording, tested on
+            # the residuals the certified delta would leave: a mismatch
+            # diverges with the dirty state still at round start.
             newly_full: list[ChannelId] = []
             mismatch = False
             for channel in dirty_list:
                 if channel in dfull:
                     continue
-                now_full = dres[channel] <= _saturation_level(capacities[channel])
+                residual = dres[channel]
+                count = counts.get(channel)
+                if count is not None:
+                    residual -= delta * count
+                now_full = residual <= _saturation_level(capacities[channel])
                 if now_full != (full_round.get(channel) == r):
                     mismatch = True
                     break
                 if now_full:
                     newly_full.append(channel)
             if mismatch:
-                dres.update(snap_res)
-                a_rate = snap_rate
                 diverged = r
                 break
+            for channel, count in counts.items():
+                dres[channel] -= delta * count
+            for fid in a_spec:
+                if fid not in a_frozen:
+                    a_rate[fid] += delta
             for channel in newly_full:
                 dfull[channel] = r
 

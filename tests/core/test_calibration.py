@@ -1,8 +1,15 @@
 """Tests for the calibration profile."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core.calibration import DEFAULT_CALIBRATION, CalibrationProfile
+from repro.core.calibration import (
+    DEFAULT_CALIBRATION,
+    CalibrationProfile,
+    profile_to_json,
+)
 from repro.errors import CalibrationError
 from repro.topology.link import LinkTier
 from repro.units import MiB
@@ -30,6 +37,43 @@ class TestValidation:
         profile = DEFAULT_CALIBRATION.with_(sdma_engine_throughput=60e9)
         assert profile.sdma_engine_throughput == 60e9
         assert DEFAULT_CALIBRATION.sdma_engine_throughput == 50e9
+
+
+class TestFingerprintMemo:
+    def test_memo_equals_a_fresh_computation(self):
+        profile = DEFAULT_CALIBRATION.with_(pageable_jitter=0.2)
+        compute = CalibrationProfile._fingerprint.func  # bypasses the memo
+        digest = profile.fingerprint()
+        assert digest == compute(profile)
+        assert profile.fingerprint() is digest  # hashed once per instance
+
+    def test_with_builds_an_unmemoized_profile(self):
+        base = DEFAULT_CALIBRATION.fingerprint()
+        changed = DEFAULT_CALIBRATION.with_(sdma_xgmi_efficiency=0.7)
+        assert changed.fingerprint() != base
+        assert DEFAULT_CALIBRATION.fingerprint() == base
+        assert DEFAULT_CALIBRATION.with_().fingerprint() == base
+
+    def test_memo_is_invisible_to_eq_repr_fields_and_json(self):
+        fresh = CalibrationProfile()
+        memoized = CalibrationProfile()
+        memoized.fingerprint()
+        assert fresh == memoized
+        assert repr(fresh) == repr(memoized)
+        assert dataclasses.asdict(fresh) == dataclasses.asdict(memoized)
+        assert "_fingerprint" not in {
+            field_.name for field_ in dataclasses.fields(memoized)
+        }
+        assert "_fingerprint" not in profile_to_json(memoized)["constants"]
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_pickle_round_trip(self, memoized):
+        profile = DEFAULT_CALIBRATION.with_(llc_bytes=64 * MiB)
+        if memoized:
+            profile.fingerprint()
+        clone = pickle.loads(pickle.dumps(profile))
+        assert clone == profile
+        assert clone.fingerprint() == CalibrationProfile._fingerprint.func(profile)
 
 
 class TestDerivedRates:

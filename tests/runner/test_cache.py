@@ -201,6 +201,92 @@ class TestBatch:
         assert cache.entry_count() == 2  # ...and the store works again
 
 
+def _spy_selects(monkeypatch):
+    """Record the bound keys of every ``SELECT`` the store runs."""
+    selects = []
+    run = cache_module._Store.run
+
+    def spy(store, sql, *args, **kwargs):
+        if sql.startswith("SELECT key, value"):
+            selects.append(args[0])
+        return run(store, sql, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module._Store, "run", spy)
+    return selects
+
+
+class TestLoadMany:
+    def test_warm_grid_is_one_select(self, tmp_path, monkeypatch):
+        points = [_point(size * MiB) for size in (1, 2, 4, 8, 16)]
+        cold = SweepRunner(cache=ResultCache(tmp_path, version="1"))
+        outputs = cold.run_points(points + points[:2])
+        selects = _spy_selects(monkeypatch)
+        warm = SweepRunner(cache=ResultCache(tmp_path, version="1"))
+        assert warm.run_points(points + points[:2]) == outputs
+        assert len(selects) == 1 and len(selects[0]) == 5  # distinct keys
+        assert (warm.stats.executed, warm.stats.cache_misses) == (0, 0)
+        assert warm.stats.cache_hits == 7
+        assert warm.stats.cache_hits == cold.stats.cache_hits + 5
+
+    def test_counts_match_per_key_loads(self, tmp_path):
+        writer = ResultCache(tmp_path, version="1")
+        keys = [writer.key_for(_point(size * MiB)) for size in (1, 2, 4, 8)]
+        for key in keys[:3]:
+            writer.store(key, key[:6])
+        _write_row(writer, keys[1], b"not a pickle")
+        many = ResultCache(tmp_path, version="1")
+        found = many.load_many(keys)
+        # load_many deleted the corrupt row: replay its miss on a copy.
+        writer.store(keys[1], keys[1][:6])
+        _write_row(writer, keys[1], b"not a pickle")
+        single = ResultCache(tmp_path, version="1")
+        loaded = {key: single.load(key) for key in keys}
+        assert found == {key: value for key, (hit, value) in loaded.items() if hit}
+        assert found == {keys[0]: keys[0][:6], keys[2]: keys[2][:6]}
+        assert many.stats == single.stats
+        assert many.stats.as_dict() == {
+            "hits": 2, "misses": 2, "stores": 0, "uncacheable": 0, "errors": 1,
+        }
+
+    def test_corrupt_row_in_a_batch_is_deleted(self, tmp_path):
+        cache = ResultCache(tmp_path, version="1")
+        keys = [cache.key_for(_point(size * MiB)) for size in (1, 2, 4)]
+        with cache.batch():
+            for key in keys:
+                cache.store(key, 1.0)
+        _write_row(cache, keys[1], b"\x80\x05 truncated")
+        found = cache.load_many(keys)
+        assert set(found) == {keys[0], keys[2]}
+        assert (cache.stats.errors, cache.stats.misses) == (1, 1)
+        assert _committed_keys(cache) == {keys[0], keys[2]}
+
+    def test_open_batch_is_read_first(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path, version="1")
+        committed, buffered, absent = (
+            cache.key_for(_point(size * MiB)) for size in (1, 2, 4)
+        )
+        cache.store(committed, "old")
+        selects = _spy_selects(monkeypatch)
+        with cache.batch():
+            cache.store(committed, "new")
+            cache.store(buffered, "buffered")
+            found = cache.load_many([committed, buffered, absent])
+        assert found == {committed: "new", buffered: "buffered"}
+        assert selects == [(absent,)]  # buffered keys never reach SQLite
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+    def test_more_keys_than_sqlite_variables(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path, version="1")
+        keys = [f"{index:064x}" for index in range(2000)]
+        with cache.batch():
+            for index, key in enumerate(keys[::2]):
+                cache.store(key, index)
+        selects = _spy_selects(monkeypatch)
+        found = ResultCache(tmp_path, version="1").load_many(keys)
+        assert found == {key: index for index, key in enumerate(keys[::2])}
+        assert [len(chunk) for chunk in selects] == [900, 900, 200]
+
+
 def test_import_repro_does_not_load_sqlite3():
     """The store imports ``sqlite3`` on first use, never at import."""
     code = "import sys, repro\nassert 'sqlite3' not in sys.modules\n"

@@ -5,6 +5,7 @@ import pytest
 from repro.config import SimEnvironment
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.runner import SimPoint, UncacheableValueError, canonical_token, point_key
+from repro.topology.link import LinkTier
 from repro.topology.presets import frontier_node, single_gpu_node
 from repro.units import MiB
 
@@ -93,3 +94,43 @@ class TestPointKey:
             ),
         )
         assert point_key(base, version="1") != point_key(perturbed, version="1")
+
+
+class TestGoldenKeys:
+    """Literal keys: any change to the canonical encoding re-keys every
+    user's store, so it must show up here (and bump ``KEY_SCHEMA``).
+
+    The first key also covers the default calibration constants and the
+    Frontier preset through their fingerprints; a deliberate change to
+    either updates that literal.
+    """
+
+    def test_paper_point(self):
+        point = SimPoint.make(
+            "fig06",
+            "peer/0-1",
+            "repro.hip.memcpy:measure_peer",
+            topology=frontier_node(),
+            calibration=DEFAULT_CALIBRATION,
+            src=0,
+            dst=1,
+            size=64 * MiB,
+        )
+        assert point_key(point, version="golden-1") == (
+            "84ac80e69216a59d9857e8bfa2e8fe987d601502cf730740a2c5978964a5c351"
+        )
+
+    def test_mapping_floats_enum_and_dataclass(self):
+        point = SimPoint.make(
+            "fig03",
+            "h2d/x",
+            "repro.bench_suites.comm_scope:measure_h2d",
+            weights={"quad": 0.5, "dual": 1.25, 3: [0.1, None, True]},
+            ratio=0.1,
+            sizes=(1, 2 * MiB),
+            tier=LinkTier.QUAD,
+            env=SimEnvironment(sdma_enabled=False),
+        )
+        assert point_key(point, version="golden-1") == (
+            "1e96562f6de24b948d9cecae79cc7d77d9c9cf2bde10789a9c3bdd65470d666b"
+        )

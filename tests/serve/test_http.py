@@ -58,6 +58,21 @@ class TestEndpoints:
         assert stats["queue_capacity"] == 256
         assert stats["draining"] is False
 
+    def test_stats_latency_percentiles_are_nearest_rank(self, server, client):
+        srv, _ = server
+        srv.service._latency["run"].extend([0.004, 0.001, 0.003, 0.002])
+        # 1..100 ms, shuffled: rank ceil(f * n) - 1 of the sorted list.
+        srv.service._latency["sweep"].extend(
+            (i * 37 % 100 + 1) / 1e3 for i in range(100)
+        )
+        latency = client.stats()["latency"]
+        assert latency["run"] == pytest.approx(
+            {"count": 4, "p50_ms": 2.0, "p95_ms": 4.0, "p99_ms": 4.0}
+        )
+        assert latency["sweep"] == pytest.approx(
+            {"count": 100, "p50_ms": 50.0, "p95_ms": 95.0, "p99_ms": 99.0}
+        )
+
     def test_submit_run_and_wait(self, client):
         job_id = client.submit_run("fig01")
         record = client.wait(job_id, timeout=300)
