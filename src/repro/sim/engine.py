@@ -22,8 +22,9 @@ Typical use::
     engine.run()
     assert proc.value == "payload"
 
-The hot path is tuned for event throughput — this loop dominates
-figure sweeps with hundreds of concurrent flows:
+Every drain goes through one loop, :meth:`SimEngine.run`, which is
+tuned for event throughput — it dominates figure sweeps with hundreds
+of concurrent flows:
 
 - The queue is an *epoch queue*: a dict of ``time -> [items]`` buckets
   plus a min-heap of the **distinct** pending times.  All occurrences
@@ -34,6 +35,10 @@ figure sweeps with hundreds of concurrent flows:
   zero-delay occurrences scheduled *during* an epoch append directly
   to the live epoch buffer — the common ``succeed()``-at-now case
   never touches the heap at all.
+- Everything that is not per-item work happens once per epoch: the
+  ``run(until=...)`` bound (an epoch later than ``until`` stays queued
+  and the clock parks at ``until``), the scheduled-in-the-past guard,
+  and, when metrics are on, one ``engine/heap_depth`` sample.
 - ``call_after`` schedules a pooled ``__slots__``-tight timer record
   instead of a full :class:`Timeout` event plus closure; fired records
   return to a free-list and are reused.
@@ -51,7 +56,8 @@ raise :class:`repro.errors.SimulationError` rather than misbehaving.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+import math
+from typing import Any, Callable, Generator, Iterable
 
 from ..errors import SchedulingError, SimulationError
 
@@ -331,21 +337,28 @@ class SimEngine:
 
     The queue stores occurrences in per-timestamp FIFO buckets; a
     min-heap of the *distinct* pending times orders the buckets.  Each
-    :meth:`run` iteration pops one bucket — an **epoch** — and
-    dispatches its items in scheduling order, advancing the clock once
-    (and only when a live item actually fires, so trailing cancelled
-    timers never move time).  Items scheduled *at the current instant
-    while its epoch is dispatching* are appended to the live epoch
-    buffer directly: their sequence numbers are by construction higher
-    than everything pending, so FIFO order is preserved without any
-    heap traffic.  The dispatch order is bit-identical to the classic
-    ``(time, sequence)`` heap the engine used through v0.6.
+    pass of :meth:`run` pops one bucket — an **epoch** — and dispatches
+    its items in scheduling order, advancing the clock once (and only
+    when a live item actually fires, so trailing cancelled timers never
+    move time).  Items scheduled *at the current instant while its epoch
+    is dispatching* are appended to the live epoch buffer directly:
+    their sequence numbers are by construction higher than everything
+    pending, so FIFO order is preserved without any heap traffic.  The
+    dispatch order is bit-identical to the classic ``(time, sequence)``
+    heap the engine used through v0.6.
+
+    ``run(until=t)`` stops before the first epoch later than ``t`` and
+    parks the clock at ``t``; that work stays queued for the next
+    ``run``.  A ``t`` before :attr:`now` (or NaN) raises
+    :class:`~repro.errors.SchedulingError`.
 
     ``metrics`` optionally attaches a
-    :class:`~repro.obs.metrics.MetricsRegistry`; when enabled, ``run``
-    switches to an observed loop that samples queue depth and pushes
-    event/timer deltas into the registry.  The disabled path pays one
-    truthiness check per ``run()`` call — nothing per event.
+    :class:`~repro.obs.metrics.MetricsRegistry`.  When it is enabled,
+    ``run`` samples ``engine/heap_depth`` (gauge and time series) once
+    per popped epoch, at the epoch's timestamp, and adds one
+    ``engine/runs`` tick plus the event/timer deltas to the registry's
+    ``engine/*`` counters when it returns.  Both modes share the one
+    loop; the disabled path pays one truthiness check per epoch.
     """
 
     def __init__(self, *, metrics: Any = None) -> None:
@@ -406,10 +419,12 @@ class SimEngine:
         (O(1) — no heap sift), and only for the first item at a brand
         new time a heap push of that time.
         """
-        if when == self._epoch_time and self._epoch_pos < len(self._epoch):
-            # Scheduled at the very instant its epoch is dispatching:
-            # every pending item here has a lower sequence number, so a
-            # plain append keeps (time, sequence) order exact.
+        if when == self._epoch_time and self._running:
+            # Scheduled at the very instant its epoch is dispatching
+            # (callbacks only run inside an epoch): every pending item
+            # here has a lower sequence number, so a plain append keeps
+            # (time, sequence) order exact, also from the epoch's last
+            # item, since run() re-reads the epoch's length.
             self._epoch.append(item)
             return
         bucket = self._buckets.get(when)
@@ -463,138 +478,69 @@ class SimEngine:
 
     # -- execution -------------------------------------------------------------
 
-    def _load_epoch(self) -> bool:
-        """Pop the earliest bucket into the epoch buffer.
+    def run(self, until: float = math.inf) -> float:
+        """Dispatch epochs until the queue drains or the next is past ``until``.
 
-        Returns False when the queue is empty.  Does *not* advance the
-        clock — time moves when the first live item of the epoch
-        dispatches, so a trailing all-cancelled bucket never drags the
-        clock forward (matching the classic per-event loop, which only
-        advanced time on live deliveries).
-        """
-        if not self._times:
-            if self._epoch:
-                self._epoch = []
-                self._epoch_pos = 0
-            return False
-        when = heapq.heappop(self._times)
-        self._epoch = self._buckets.pop(when)
-        self._epoch_pos = 0
-        self._epoch_time = when
-        return True
-
-    def _dispatch_one(self) -> bool:
-        """Dispatch the next item of the current epoch.
-
-        Returns True if it was live (fired/delivered), False if it was
-        a cancelled timer record (skimmed).  The caller guarantees the
-        epoch buffer is non-empty at ``_epoch_pos``.
-        """
-        pos = self._epoch_pos
-        item = self._epoch[pos]
-        self._epoch_pos = pos + 1
-        if item.__class__ is TimerHandle:
-            if item.cancelled:
-                self.timers_cancelled += 1
-                if item._pooled and len(self._timer_pool) < _TIMER_POOL_LIMIT:
-                    item.callback = None
-                    item.args = ()
-                    self._timer_pool.append(item)
-                return False
-            when = self._epoch_time
-            if when < self._now - 1e-18:
-                raise SchedulingError(
-                    f"event scheduled in the past ({when} < {self._now})"
-                )
-            if when > self._now:
-                self._now = when
-            callback, args = item.callback, item.args
-            if item._pooled and len(self._timer_pool) < _TIMER_POOL_LIMIT:
-                item.callback = None
-                item.args = ()
-                self._timer_pool.append(item)
-            self.timers_fired += 1
-            callback(*args)
-            return True
-        when = self._epoch_time
-        if when < self._now - 1e-18:
-            raise SchedulingError(
-                f"event scheduled in the past ({when} < {self._now})"
-            )
-        if when > self._now:
-            self._now = when
-        self.events_delivered += 1
-        item._deliver()
-        return True
-
-    def step(self) -> bool:
-        """Deliver the next live occurrence.
-
-        Cancelled timer records are discarded silently.  Returns False
-        when nothing (live) remains on the queue.
-        """
-        while True:
-            if self._epoch_pos >= len(self._epoch) and not self._load_epoch():
-                return False
-            while self._epoch_pos < len(self._epoch):
-                if self._dispatch_one():
-                    return True
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains (or the clock passes ``until``).
-
-        Returns the final simulated time.
+        The engine's only drain loop.  One pass of the outer loop starts
+        one epoch: it pops the earliest bucket (or resumes the epoch a
+        raising callback left part-done), checks it against ``until``
+        and the clock, and, with metrics on, samples the queue depth.
+        The inner loop is a tight FIFO walk with the per-item work
+        inlined: cancelled-record skimming, pool recycling and the clock
+        advance on the first live item.  A queue that drains before
+        ``until`` leaves the clock at the last live dispatch.  Returns
+        the final simulated time.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
+        if not until >= self._now:  # also rejects NaN
+            raise SchedulingError(
+                f"run(until={until!r}) would move the clock back from {self._now}"
+            )
         self._running = True
-        try:
-            if self.metrics:
-                self._run_observed(until)
-                return self._now
-            if until is None:
-                self._run_epochs()
-            else:
-                self._run_epochs_until(until)
-        finally:
-            self._running = False
-        return self._now
-
-    def _run_epochs(self) -> None:
-        """The unbounded drain loop — the engine's hottest code.
-
-        One pass of the outer loop dispatches one full epoch; the inner
-        loop is a tight FIFO walk with the per-item work inlined
-        (cancelled-record skimming, pool recycling, clock advance on
-        first live item).  State that callbacks can touch
-        (``_epoch_pos`` via :meth:`step`, the epoch list via
-        :meth:`_enqueue` appends) is re-read from ``self`` at the
-        points where it can change.
-        """
         buckets = self._buckets
         times = self._times
         pool = self._timer_pool
         heappop = heapq.heappop
-        events = self.events_delivered
-        fired = self.timers_fired
-        cancelled = self.timers_cancelled
+        metrics = self.metrics
+        if metrics:
+            depth = metrics.gauge("engine/heap_depth")
+            depth_series = metrics.timeseries("engine/heap_depth")
+        events = events_before = self.events_delivered
+        fired = fired_before = self.timers_fired
+        cancelled = cancelled_before = self.timers_cancelled
+        epoch = self._epoch
+        pos = self._epoch_pos
+        when = self._epoch_time
         try:
             while True:
-                epoch = self._epoch
-                pos = self._epoch_pos
                 if pos >= len(epoch):
                     if not times:
                         if epoch:
                             self._epoch = []
                             self._epoch_pos = 0
                         break
-                    when = heappop(times)
-                    epoch = buckets.pop(when)
-                    self._epoch = epoch
+                    when = times[0]
+                    if when > until:
+                        self._now = until
+                        break
+                    heappop(times)
+                    epoch = self._epoch = buckets.pop(when)
                     self._epoch_time = when
-                    pos = 0
-                else:
-                    when = self._epoch_time
+                    self._epoch_pos = pos = 0
+                    if metrics:
+                        queued = self.queue_depth()
+                        depth.set(queued)
+                        depth_series.observe(when, queued)
+                elif when > until:
+                    self._now = until
+                    break
+                if when < self._now - 1e-18:
+                    raise SchedulingError(
+                        f"event scheduled in the past ({when} < {self._now})"
+                    )
+                # Callbacks may append to ``epoch`` (see _enqueue), so its
+                # length is re-read on every pass.
                 while pos < len(epoch):
                     item = epoch[pos]
                     pos += 1
@@ -609,10 +555,6 @@ class SimEngine:
                             continue
                         if when > self._now:
                             self._now = when
-                        elif when < self._now - 1e-18:
-                            raise SchedulingError(
-                                f"event scheduled in the past ({when} < {self._now})"
-                            )
                         callback, args = item.callback, item.args
                         if item._pooled and len(pool) < _TIMER_POOL_LIMIT:
                             item.callback = None
@@ -623,94 +565,21 @@ class SimEngine:
                     else:
                         if when > self._now:
                             self._now = when
-                        elif when < self._now - 1e-18:
-                            raise SchedulingError(
-                                f"event scheduled in the past ({when} < {self._now})"
-                            )
                         events += 1
                         item._deliver()
-                    # A callback may have appended to this epoch or
-                    # consumed items via a nested step(); re-sync.
-                    pos = self._epoch_pos
         finally:
             self.events_delivered = events
             self.timers_fired = fired
             self.timers_cancelled = cancelled
-
-    def _run_epochs_until(self, until: float) -> None:
-        """The bounded drain loop (``run(until=...)`` semantics).
-
-        Identical to :meth:`_run_epochs`, except no epoch with a
-        timestamp beyond ``until`` starts: the clock parks at ``until``
-        and pending later work stays queued.
-        """
-        while True:
-            if self._epoch_pos >= len(self._epoch):
-                if not self._times:
-                    if self._epoch:
-                        self._epoch = []
-                        self._epoch_pos = 0
-                    break
-                if self._times[0] > until:
-                    self._now = until
-                    break
-                self._load_epoch()
-            elif self._epoch_time > until:
-                self._now = until
-                break
-            while self._epoch_pos < len(self._epoch):
-                self._dispatch_one()
-
-    def _run_observed(self, until: Optional[float]) -> None:
-        """The metrics-enabled run loop (same semantics as ``run``).
-
-        Kept separate so the common disabled path stays branch-free:
-        this loop samples queue depth per dispatch and folds the
-        event/timer deltas into the registry when the drain ends.
-        """
-        metrics = self.metrics
-        step = self.step
-        events_before = self.events_delivered
-        timers_before = self.timers_fired
-        cancelled_before = self.timers_cancelled
-        depth = metrics.gauge("engine/heap_depth")
-        depth_series = metrics.timeseries("engine/heap_depth")
-        try:
-            if until is None:
-                while self._times or self._epoch_pos < len(self._epoch):
-                    depth.set(self.queue_depth())
-                    depth_series.observe(self._now, self.queue_depth())
-                    if not step():
-                        break
-            else:
-                while self._times or self._epoch_pos < len(self._epoch):
-                    head = self._next_time()
-                    if head is not None and head > until:
-                        self._now = until
-                        break
-                    depth.set(self.queue_depth())
-                    depth_series.observe(self._now, self.queue_depth())
-                    if not step():
-                        break
-        finally:
-            metrics.counter("engine/runs").inc()
-            metrics.counter("engine/events_delivered").inc(
-                self.events_delivered - events_before
-            )
-            metrics.counter("engine/timers_fired").inc(
-                self.timers_fired - timers_before
-            )
-            metrics.counter("engine/timers_cancelled").inc(
-                self.timers_cancelled - cancelled_before
-            )
-
-    def _next_time(self) -> float | None:
-        """Timestamp of the next queued occurrence, or ``None``."""
-        if self._epoch_pos < len(self._epoch):
-            return self._epoch_time
-        if self._times:
-            return self._times[0]
-        return None
+            self._running = False
+            if metrics:
+                metrics.counter("engine/runs").inc()
+                metrics.counter("engine/events_delivered").inc(events - events_before)
+                metrics.counter("engine/timers_fired").inc(fired - fired_before)
+                metrics.counter("engine/timers_cancelled").inc(
+                    cancelled - cancelled_before
+                )
+        return self._now
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
         """Convenience: start a process, run to completion, return its value."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 
 
@@ -61,6 +62,22 @@ class TestTimeouts:
         engine.timeout(10.0)
         engine.run(until=3.0)
         assert engine.now == 3.0
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    def test_run_until_never_moves_clock_back(self, metrics):
+        engine = SimEngine(metrics=MetricsRegistry(enabled=metrics))
+        fired = []
+        engine.call_after(2.0, fired.append, "late")
+        for now, bad_until in ((0.0, -1.0), (1.0, 0.5), (1.0, float("nan"))):
+            if now:
+                assert engine.run(until=now) == now
+            with pytest.raises(SchedulingError, match="clock back"):
+                engine.run(until=bad_until)
+            assert engine.now == now
+        assert fired == []
+        assert engine.run(until=1.0) == 1.0  # until == now is a no-op
+        assert engine.run() == 2.0
+        assert fired == ["late"]
 
 
 class TestProcesses:

@@ -6,13 +6,15 @@ pin down the observable contract of that batching: FIFO order inside
 an epoch, cancelled timers skimmed without moving the clock, and the
 fast path that lets a callback append work to the epoch it is running
 in.  A hypothesis oracle checks the whole ordering story against the
-naive ``sorted(by=(time, seq))`` model.
+naive ``sorted(by=(time, seq))`` model, also when the drain is cut into
+``run(until=...)`` slices or observed by a metrics registry.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
 
 US = 1e-6
@@ -111,7 +113,9 @@ class TestEpochAppend:
         assert order == ["first", "second", "appended"]
         assert engine.now == 1 * US
 
-    def test_immediate_succeed_chain_drains_in_one_epoch(self, engine):
+    def test_immediate_succeed_chain_drains_in_one_epoch(self):
+        registry = MetricsRegistry()
+        engine = SimEngine(metrics=registry)
         hops = []
 
         def hop(n):
@@ -123,6 +127,11 @@ class TestEpochAppend:
         engine.run()
         assert hops == [0, 1, 2, 3, 4, 5]
         assert engine.now == 1 * US
+        # Each hop is its epoch's last item, yet its child joins the
+        # epoch: one popped bucket, one depth sample.
+        assert list(registry.timeseries("engine/heap_depth").samples) == [
+            (1 * US, 1)
+        ]
 
     def test_queue_depth_counts_epoch_remainder(self, engine):
         depths = []
@@ -144,16 +153,85 @@ class TestOrderingOracle:
         delays=st.lists(st.integers(min_value=0, max_value=5), min_size=1,
                         max_size=60),
         cancel_every=st.integers(min_value=2, max_value=7),
+        cuts=st.lists(st.integers(min_value=0, max_value=6), max_size=4).map(
+            sorted
+        ),
+        metrics=st.booleans(),
     )
-    def test_dispatch_order_matches_time_seq_sort(self, delays, cancel_every):
-        engine = SimEngine()
-        order = []
-        live = []
-        for seq, delay in enumerate(delays):
-            handle = engine.schedule(delay * US, order.append, seq)
-            if seq % cancel_every == 0:
-                handle.cancel()
-            else:
+    def test_dispatch_order_matches_time_seq_sort(
+        self, delays, cancel_every, cuts, metrics
+    ):
+        def drive(cuts, metrics):
+            engine = SimEngine(metrics=MetricsRegistry(enabled=metrics))
+            order = []
+            live = []
+            for seq, delay in enumerate(delays):
+                if seq % cancel_every == 0:
+                    engine.schedule(delay * US, order.append, seq).cancel()
+                    continue
                 live.append((delay, seq))
-        engine.run()
-        assert order == [seq for _, seq in sorted(live)]
+                if seq % 2:
+                    engine.timeout(delay * US).add_callback(
+                        lambda _event, seq=seq: order.append(seq)
+                    )
+                else:
+                    engine.schedule(delay * US, order.append, seq)
+            parked = 0.0
+            for cut in cuts:
+                engine.run(until=cut * US)
+                # Work beyond the cut (cancelled records included) stays
+                # queued, and the clock parks exactly at the cut.
+                later = sum(delay > cut for delay in delays)
+                if later:
+                    assert engine.now == cut * US
+                    parked = cut * US
+                assert engine.stats()["heap_size"] == later
+            engine.run()
+            return engine, order, live, parked
+
+        reference, expected, live, _ = drive([], False)
+        assert expected == [seq for _, seq in sorted(live)]
+        engine, order, _, parked = drive(cuts, metrics)
+        assert order == expected
+        # A parked clock never moves back, even if only cancelled
+        # records lay beyond the cut.
+        assert engine.now == max(reference.now, parked)
+        for key in ("events_delivered", "timers_fired", "timers_cancelled"):
+            assert engine.stats()[key] == reference.stats()[key]
+
+
+class TestHeapDepthMetrics:
+    def test_depth_sampled_once_per_popped_epoch(self):
+        registry = MetricsRegistry()
+        engine = SimEngine(metrics=registry)
+        for delay in (1, 1, 2, 3, 3, 3):
+            engine.call_after(delay * US, lambda: None)
+        engine.timeout(2 * US)
+        engine.schedule(4 * US, lambda: None).cancel()
+        # A zero-delay append joins the live epoch, even from the
+        # epoch's last item: no extra epoch, no extra sample.
+        engine.call_after(1 * US, engine.call_after, 0.0, lambda: None)
+
+        for until in (2 * US, float("inf")):
+            engine.run(until=until)
+            # Each run adds its own stats() deltas, so the registry's
+            # running totals track the engine's counters run by run.
+            stats = engine.stats()
+            for name in ("events_delivered", "timers_fired", "timers_cancelled"):
+                assert registry.counter(f"engine/{name}").value == stats[name]
+
+        # One sample per epoch (1, 2, 3, 4 us), each the queue depth as
+        # the epoch is popped — its own items included.
+        series = registry.timeseries("engine/heap_depth")
+        assert list(series.samples) == [
+            (1 * US, 9), (2 * US, 6), (3 * US, 4), (4 * US, 1)
+        ]
+        gauge = registry.gauge("engine/heap_depth")
+        assert (gauge.value, gauge.max_value) == (1, 9)
+        assert registry.counter("engine/runs").value == 2
+        assert engine.stats() == {
+            "events_delivered": 1,
+            "timers_fired": 8,
+            "timers_cancelled": 1,
+            "heap_size": 0,
+        }
