@@ -21,6 +21,16 @@ def _fmt_cell(value: float, width: int = 7, digits: int = 1) -> str:
     return f"{value:{width}.{digits}f}"
 
 
+def _first_per_cell(
+    result: ExperimentResult, row: Callable[[Any], Any], col_key: str
+) -> dict[tuple[Any, Any], Any]:
+    """``(row, col) → first measurement`` in one pass over the result."""
+    first: dict[tuple[Any, Any], Any] = {}
+    for m in result.measurements:
+        first.setdefault((row(m), m.meta.get(col_key)), m)
+    return first
+
+
 def series_table(
     result: ExperimentResult,
     *,
@@ -34,18 +44,15 @@ def series_table(
     if not labels:
         raise BenchmarkError(f"no series labelled by {series_key!r}")
     xs = sorted({m.x for m in result.measurements})
+    first = _first_per_cell(result, lambda m: m.x, series_key)
     header = f"{'size':>10s} " + " ".join(f"{str(l):>14s}" for l in labels)
     lines = [f"# {result.title} [{value_unit}]", header]
     for x in xs:
         cells = []
         for label in labels:
-            points = [
-                m
-                for m in result.measurements
-                if m.x == x and m.meta.get(series_key) == label
-            ]
-            if points:
-                cells.append(f"{points[0].value / value_scale:14.2f}")
+            point = first.get((x, label))
+            if point is not None:
+                cells.append(f"{point.value / value_scale:14.2f}")
             else:
                 cells.append(f"{'-':>14s}")
         lines.append(f"{x_formatter(x):>10s} " + " ".join(cells))
@@ -107,18 +114,15 @@ def latency_table(
     """Collective latency grid: partners × library, in µs."""
     rows = sorted({m.meta[row_key] for m in result.measurements})
     cols = result.labels(col_key)
+    first = _first_per_cell(result, lambda m: m.meta[row_key], col_key)
     header = f"{row_key:>10s} " + " ".join(f"{str(c):>12s}" for c in cols)
     lines = [f"# {result.title} [us]", header]
     for row in rows:
         cells = []
         for col in cols:
-            points = [
-                m
-                for m in result.measurements
-                if m.meta.get(row_key) == row and m.meta.get(col_key) == col
-            ]
-            if points:
-                cells.append(f"{to_us(points[0].value):12.1f}")
+            point = first.get((row, col))
+            if point is not None:
+                cells.append(f"{to_us(point.value):12.1f}")
             else:
                 cells.append(f"{'-':>12s}")
         lines.append(f"{row!s:>10s} " + " ".join(cells))

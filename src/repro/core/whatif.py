@@ -10,6 +10,7 @@ choices DESIGN.md calls out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,11 +127,21 @@ SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def get_scenario(name: str) -> Scenario:
-    """Construct a scenario by name; unknown names raise."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
+    """The named scenario; unknown names raise.
+
+    Each scenario is built once per process and shared, like
+    :func:`~repro.topology.presets.frontier_node`: a :class:`Scenario`,
+    its topology and its calibration are immutable (fault state lives
+    on the simulated node), so a warm what-if request neither rebuilds
+    a topology nor re-fingerprints a calibration.
+    """
+    if name not in SCENARIOS:
         raise BenchmarkError(
             f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
-        ) from None
-    return factory()
+        )
+    return _shared_scenario(name)
+
+
+@functools.cache
+def _shared_scenario(name: str) -> Scenario:
+    return SCENARIOS[name]()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..core.experiment import ExperimentResult
 from ..core.report import latency_table
@@ -92,10 +92,13 @@ def run(
 
 def report(result: ExperimentResult) -> str:
     """Paper-style text rendering of a result."""
+    panels: dict[Any, list] = {}
+    for m in result.measurements:
+        panels.setdefault(m.meta.get("collective"), []).append(m)
     parts = []
     for collective in PANEL_ORDER:
         sub = ExperimentResult("fig11", f"{collective} latency (1 MiB)")
-        sub.measurements = result.series(collective=collective)
+        sub.measurements = panels.get(collective, [])
         if sub.measurements:
             parts.append(latency_table(sub))
             parts.append("")

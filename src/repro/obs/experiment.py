@@ -51,6 +51,7 @@ def _fold_point(
     for name, series in registry.series().items():
         slot = export.timeseries(name)
         slot.integral += series.integral
+        slot.elapsed += series.elapsed
         slot.dropped += series.dropped
         if series.max_value > slot.max_value:
             slot.max_value = series.max_value

@@ -89,16 +89,19 @@ class TimeSeries:
     :meth:`observe` records that the level changed to ``value`` at
     simulated time ``t``; the previous level is integrated over the
     elapsed interval, so :meth:`mean` is the *time-weighted* average —
-    a level held for 9 s at 10 and 1 s at 0 averages 9, not 5.
+    a level held for 9 s at 10 and 1 s at 0 averages 9, not 5.  A
+    time earlier than the last one (the next engine of a capture
+    starting again at 0) opens a new segment: nothing is integrated
+    across the restart, and the mean stays within the observed levels.
     """
 
     __slots__ = (
         "name",
         "integral",
+        "elapsed",
         "max_value",
         "_last_t",
         "_last_v",
-        "_start_t",
         "samples",
         "dropped",
     )
@@ -108,22 +111,23 @@ class TimeSeries:
     ) -> None:
         self.name = name
         self.integral = 0.0
+        #: Total time integrated: the sum of the intervals between
+        #: consecutive observations of each segment.
+        self.elapsed = 0.0
         self.max_value = 0.0
         self._last_t: float | None = None
         self._last_v = 0.0
-        self._start_t = 0.0
         self.samples: deque[tuple[float, float]] = deque(maxlen=capacity)
         #: Samples evicted by the ring buffer (summary stats still exact).
         self.dropped = 0
 
     def observe(self, t: float, value: float) -> None:
         """The level became ``value`` at time ``t``."""
-        if self._last_t is None:
-            self._start_t = t
-        else:
+        if self._last_t is not None:
             dt = t - self._last_t
             if dt > 0:
                 self.integral += self._last_v * dt
+                self.elapsed += dt
         self._last_t = t
         self._last_v = value
         if value > self.max_value:
@@ -132,19 +136,11 @@ class TimeSeries:
             self.dropped += 1
         self.samples.append((t, value))
 
-    @property
-    def elapsed(self) -> float:
-        """Observed window length (first to last observation)."""
-        if self._last_t is None:
-            return 0.0
-        return self._last_t - self._start_t
-
     def mean(self) -> float:
-        """Time-weighted mean over the observed window (0 if empty)."""
-        window = self.elapsed
-        if window <= 0:
+        """Time-weighted mean over the integrated time (0 if none)."""
+        if self.elapsed <= 0:
             return 0.0
-        return self.integral / window
+        return self.integral / self.elapsed
 
 
 class ChannelUsage:

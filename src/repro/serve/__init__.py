@@ -14,7 +14,7 @@ Layers, bottom up:
 - :mod:`repro.serve.jobs` — bounded async job queue + worker threads;
 - :mod:`repro.serve.service` — validation, admission, dispatch into
   :class:`~repro.runner.SweepRunner`, metrics, graceful drain;
-- :mod:`repro.serve.http` — stdlib ``ThreadingHTTPServer`` frontend
+- :mod:`repro.serve.http` — stdlib ``HTTPServer`` frontend
   (``POST /v1/{run,sweep,whatif,shadow}``, ``GET /v1/jobs/<id>`` and
   its NDJSON ``/events`` stream, health/stats/metrics);
 - :mod:`repro.serve.client` — urllib client (``repro submit``);

@@ -1,9 +1,12 @@
 """Stdlib HTTP frontend of the simulation service.
 
-``ThreadingHTTPServer`` + ``BaseHTTPRequestHandler`` — no third-party
-web framework, matching the repo's stdlib-only dependency policy (the
+``HTTPServer`` + ``BaseHTTPRequestHandler`` — no third-party web
+framework, matching the repo's stdlib-only dependency policy (the
 same gating philosophy as PyYAML: optional niceties degrade, core
-paths never require them).
+paths never require them).  Connections run on reused handler threads
+(:class:`ReproServer`), and every answer leaves in one write over a
+``TCP_NODELAY`` socket, so HTTP/1.1 keep-alive clients never wait on
+Nagle's algorithm.
 
 Endpoints (all JSON unless noted)::
 
@@ -31,9 +34,10 @@ default tenant's bucket.
 from __future__ import annotations
 
 import json
+import queue
 import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any
 
 from .jobs import QueueFullError
@@ -61,6 +65,7 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    disable_nagle_algorithm = True
 
     # The service is attached to the server object (one per process);
     # handlers are constructed per connection by the stdlib.
@@ -76,6 +81,21 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- responses ------------------------------------------------------
 
+    def _take_head(self) -> bytes:
+        """The buffered status line and headers, ended, as bytes.
+
+        What :meth:`end_headers` would write on its own; callers send it
+        in the same write as what follows.  Written apart, the rest of
+        a keep-alive answer would wait on Nagle's algorithm for the
+        client's delayed ACK (about 40 ms).
+        """
+        if self.request_version == "HTTP/0.9":
+            return b""
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        return head
+
     def _respond(
         self,
         status: int,
@@ -89,8 +109,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(self._take_head() + body)
 
     def _error(
         self,
@@ -201,21 +220,23 @@ class ServeHandler(BaseHTTPRequestHandler):
 
         The response length is unknowable up front, so the stream is
         sent with ``Connection: close`` (the HTTP/1.0-style framing
-        every client understands) instead of chunked encoding.
+        every client understands) instead of chunked encoding.  Each
+        batch of events is one write; the first carries the head.
         """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
-        self.end_headers()
         self.close_connection = True
+        chunk = self._take_head()
         seq = 0
         try:
             while True:
                 events = job.events_since(seq)
-                for event in events:
-                    self.wfile.write(_encode(event))
-                self.wfile.flush()
+                chunk += b"".join(map(_encode, events))
+                if chunk:
+                    self.wfile.write(chunk)
+                    chunk = b""
                 seq += len(events)
                 if job.done and not job.events_since(seq):
                     return
@@ -235,10 +256,18 @@ def _version() -> str:
     return __version__
 
 
-class ReproServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`SimService`."""
+class ReproServer(HTTPServer):
+    """HTTP server bound to one :class:`SimService`.
 
-    daemon_threads = True
+    Each accepted connection goes to an idle handler thread; a new
+    daemon thread starts only when none is idle.  Concurrency is not
+    capped (an event stream holds its thread for a whole job, and a
+    load wave holds hundreds at once), but a closed-loop client reuses
+    the same few threads instead of starting one per connection.
+    :meth:`server_close` releases the idle threads and does not wait
+    for busy ones.
+    """
+
     allow_reuse_address = True
     # The stdlib default listen backlog is 5; a barrier-released load
     # wave opens hundreds of connections in the same millisecond and
@@ -251,6 +280,51 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, ServeHandler)
         self.service = service
         self.verbose = False
+        # Accepted connections waiting for a handler thread; ``None``
+        # tells one thread to exit.
+        self._pending: "queue.SimpleQueue[tuple[Any, Any] | None]" = (
+            queue.SimpleQueue()
+        )
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._started = 0
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._lock:
+            start = not self._idle
+            if start:
+                self._started += 1
+                number = self._started
+            else:
+                self._idle -= 1
+        if start:
+            threading.Thread(
+                target=self._handle_connections,
+                name=f"repro-serve-{self.server_address[1]}-handler-{number}",
+                daemon=True,
+            ).start()
+        self._pending.put((request, client_address))
+
+    def _handle_connections(self) -> None:
+        while (item := self._pending.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                self._idle += 1
+
+    def server_close(self) -> None:
+        """Close the listening socket and let every handler thread exit."""
+        super().server_close()
+        with self._lock:
+            started, self._started = self._started, 0
+        for _ in range(started):
+            self._pending.put(None)
 
 
 def create_server(

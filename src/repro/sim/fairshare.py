@@ -837,7 +837,7 @@ class FairshareSolver:
             raise SimulationError(f"unknown flow id {flow_id!r}")
         self._rates.pop(flow_id, None)
         self._bottlenecks.pop(flow_id, None)
-        occupied: list[set[Hashable]] = []
+        occupied: list[ChannelId] = []
         seen_channels: set[ChannelId] = set()
         for channel in spec.channels:
             if channel in seen_channels:
@@ -852,7 +852,7 @@ class FairshareSolver:
                     del self._uncapped[channel]
                     self._bindable.discard(channel)
                     continue
-                occupied.append(group)
+                occupied.append(channel)
                 if spec.cap == math.inf:
                     self._uncapped[channel] -= 1
                 else:
@@ -882,15 +882,15 @@ class FairshareSolver:
         # connectivity in O(degree) — skipping the component scan.
         preserved = len(occupied) <= 1
         if not preserved:
-            smallest = min(occupied, key=len)
-            for candidate in smallest:
+            members = self._members
+            smallest = min(occupied, key=lambda channel: len(members[channel]))
+            for candidate in members[smallest]:
                 channels = self._flows[candidate].channels
-                if all(channel in channels for channel in seen_channels
-                       if channel in self._members):
+                if all(channel in channels for channel in occupied):
                     preserved = True
                     break
         if not preserved:
-            pieces = self._split_components(list(comp_members))
+            pieces = self._split_components(comp_members, occupied)
             if len(pieces) > 1:
                 del self._components[comp]
                 self._traces.pop(comp, None)
@@ -914,29 +914,71 @@ class FairshareSolver:
         return self._relevel(comp_members, comp)
 
     def _split_components(
-        self, flow_ids: Sequence[Hashable]
+        self, flow_ids: Iterable[Hashable], seeds: Sequence[ChannelId]
     ) -> list[list[Hashable]]:
-        """Maximal connected pieces of a former component's remainder."""
-        remaining = set(flow_ids)
-        pieces: list[list[Hashable]] = []
-        unvisited = set(remaining)
-        for seed in flow_ids:  # deterministic seed order
-            if seed not in unvisited:
-                continue
-            stack = [seed]
-            unvisited.discard(seed)
-            piece: set[Hashable] = {seed}
-            while stack:
-                current = stack.pop()
-                for channel in self._flows[current].channels:
-                    for neighbour in self._members.get(channel, ()):
-                        if neighbour in unvisited:
-                            unvisited.discard(neighbour)
-                            piece.add(neighbour)
-                            stack.append(neighbour)
-            # Keep original order within the piece for determinism.
-            pieces.append([f for f in flow_ids if f in piece])
-        return pieces
+        """Maximal connected pieces of a former component's remainder.
+
+        ``seeds`` are the departed flow's still-occupied channels, and
+        every remaining flow is connected to one of them.  One search
+        starts from each seed, and the searches scan one channel at a
+        time in turn; two that reach the same channel merge.  A search
+        that runs out of channels has found a whole detached piece.
+        Once one search is left, the rest of the component is its
+        piece, unexplored, so a split costs the detached pieces rather
+        than the whole component.  Pieces come in ``flow_ids`` order of
+        their first member and keep that order inside (the order one
+        search over the whole remainder gives).
+        """
+        members = self._members
+        flows = self._flows
+        owner = {channel: index for index, channel in enumerate(seeds)}
+        parent = list(range(len(seeds)))
+        stacks = [[channel] for channel in seeds]
+        found: list[list[Hashable]] = [[] for _ in seeds]
+        seen: set[Hashable] = set()
+        detached: list[list[Hashable]] = []
+        live = list(parent)
+        while len(live) > 1:
+            still_live = []
+            for index in live:
+                if parent[index] != index:
+                    continue  # merged into another search
+                stack = stacks[index]
+                if not stack:
+                    detached.append(found[index])
+                    continue
+                still_live.append(index)
+                piece = found[index]
+                for flow_id in members[stack.pop()]:
+                    if flow_id in seen:
+                        continue
+                    seen.add(flow_id)
+                    piece.append(flow_id)
+                    for channel in flows[flow_id].channels:
+                        other = owner.get(channel)
+                        if other is None:
+                            owner[channel] = index
+                            stack.append(channel)
+                            continue
+                        while parent[other] != other:
+                            other = parent[other]
+                        if other != index:
+                            parent[other] = index
+                            stack.extend(stacks[other])
+                            piece.extend(found[other])
+                            stacks[other] = found[other] = []
+            live = still_live
+        if not detached:
+            return [list(flow_ids)]
+        piece_of = {
+            flow_id: number
+            for number, piece in enumerate(detached)
+            for flow_id in piece
+        }
+        pieces: dict[int, list[Hashable]] = {}
+        for flow_id in flow_ids:
+            pieces.setdefault(piece_of.get(flow_id, -1), []).append(flow_id)
+        return list(pieces.values())
 
     def _relevel(
         self, flow_ids: Iterable[Hashable], comp_id: int

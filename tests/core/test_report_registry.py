@@ -20,6 +20,7 @@ from repro.core.report import (
 )
 from repro.errors import BenchmarkError
 from repro.memory.buffer import MemoryKind
+from repro.units import to_us
 
 
 class TestSeriesTable:
@@ -72,6 +73,47 @@ class TestOtherRenderers:
         result.add(2, 15e-6, "s", partners=2, library="RCCL")
         text = latency_table(result)
         assert "MPI" in text and "RCCL" in text and "20.0" in text
+
+    def test_latency_table_marks_missing_cells(self):
+        result = ExperimentResult("x", "collectives")
+        result.add(2, 20e-6, "s", partners=2, library="MPI")
+        result.add(4, 30e-6, "s", partners=4, library="RCCL")
+        result.add(4, 99e-6, "s", partners=4, library="RCCL")  # not first
+        result.add(8, 40e-6, "s", partners=8, library="MPI")
+        text = latency_table(result)
+        assert text == _scan_latency_table(result)
+        assert "99.0" not in text
+        assert text.splitlines()[2].split() == ["2", "20.0", "-"]
+
+    @pytest.mark.parametrize("artifact", ["fig11", "fig12"])
+    def test_latency_table_equals_the_cell_scan(self, artifact, monkeypatch):
+        """Every table the artifact's report renders equals the scan."""
+        import importlib
+
+        from repro import figures
+
+        module = importlib.import_module(
+            {"fig11": "repro.figures.fig11_collectives",
+             "fig12": "repro.figures.fig12_rccl"}[artifact]
+        )
+        tables = []
+
+        def checked(result, **keys):
+            text = latency_table(result, **keys)
+            assert text == _scan_latency_table(result, **keys)
+            tables.append(text)
+            return text
+
+        monkeypatch.setattr(module, "latency_table", checked)
+        figures.report(artifact, figures.run(artifact))
+        assert tables
+
+    def test_series_table_equals_the_cell_scan(self):
+        result = TestSeriesTable().make()
+        result.add(16384, 1e9, "B/s", interface="pinned")  # one missing cell
+        text = series_table(result, series_key="interface")
+        assert text == _scan_series_table(result, series_key="interface")
+        assert text.splitlines()[-1].split()[-1] == "-"
 
     def test_peak_summary(self):
         result = ExperimentResult("x", "peaks")
@@ -128,3 +170,49 @@ class TestRegistries:
     def test_formatters(self):
         assert "hipHostMalloc" in format_table_i()
         assert "RCCL-tests" in format_table_ii()
+
+
+def _scan_latency_table(result, *, row_key="partners", col_key="library"):
+    """The former ``latency_table``: scans every measurement per cell."""
+    rows = sorted({m.meta[row_key] for m in result.measurements})
+    cols = result.labels(col_key)
+    header = f"{row_key:>10s} " + " ".join(f"{str(c):>12s}" for c in cols)
+    lines = [f"# {result.title} [us]", header]
+    for row in rows:
+        cells = []
+        for col in cols:
+            points = [
+                m
+                for m in result.measurements
+                if m.meta.get(row_key) == row and m.meta.get(col_key) == col
+            ]
+            if points:
+                cells.append(f"{to_us(points[0].value):12.1f}")
+            else:
+                cells.append(f"{'-':>12s}")
+        lines.append(f"{row!s:>10s} " + " ".join(cells))
+    return "\n".join(lines)
+
+
+def _scan_series_table(result, *, series_key):
+    """The former ``series_table`` body: scans every measurement per cell."""
+    from repro.units import format_size
+
+    labels = result.labels(series_key)
+    xs = sorted({m.x for m in result.measurements})
+    header = f"{'size':>10s} " + " ".join(f"{str(l):>14s}" for l in labels)
+    lines = [f"# {result.title} [GB/s]", header]
+    for x in xs:
+        cells = []
+        for label in labels:
+            points = [
+                m
+                for m in result.measurements
+                if m.x == x and m.meta.get(series_key) == label
+            ]
+            if points:
+                cells.append(f"{points[0].value / 1e9:14.2f}")
+            else:
+                cells.append(f"{'-':>14s}")
+        lines.append(f"{format_size(int(x)):>10s} " + " ".join(cells))
+    return "\n".join(lines)

@@ -1,5 +1,7 @@
 """Tests for the what-if scenarios and the CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -41,6 +43,45 @@ class TestScenarios:
         assert DEFAULT_CALIBRATION.xnack_fault_service == pytest.approx(
             1.32e-6
         )
+
+
+class TestSharedScenarios:
+    def test_each_scenario_is_built_once(self):
+        for name in SCENARIOS:
+            assert get_scenario(name) is get_scenario(name)
+
+    def test_faulted_session_leaves_the_shared_dense_fabric_healthy(self):
+        from repro import Session
+        from repro.core.validation import validate_node
+        from repro.faults import FaultScenario
+        from repro.units import MiB
+
+        scenario = get_scenario("dense-fabric")
+        before = validate_node(scenario.topology, scenario.calibration)
+        faults = FaultScenario.load(
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "scenarios" / "degrade_xgmi.json"
+        )
+
+        def peer_copy_time(session):
+            hip = session.hip
+
+            def run():
+                src = hip.malloc(64 * MiB, device=1)
+                dst = hip.malloc(64 * MiB, device=3)
+                started = hip.now
+                yield from hip.memcpy_peer(dst, 3, src, 1)
+                return hip.now - started
+
+            return session.run(run())
+
+        with Session(topology=scenario.topology) as healthy:
+            healthy_time = peer_copy_time(healthy)
+        with Session(topology=scenario.topology, faults=faults) as faulted:
+            assert faulted.topology is get_scenario("dense-fabric").topology
+            assert peer_copy_time(faulted) > healthy_time
+        after = validate_node(scenario.topology, scenario.calibration)
+        assert after.as_dict() == before.as_dict()
 
 
 class TestCli:

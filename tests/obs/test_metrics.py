@@ -40,6 +40,16 @@ class TestPrimitives:
         assert series.mean() == pytest.approx(9.0)
         assert series.max_value == 10.0
 
+    def test_timeseries_clock_restart_opens_a_new_segment(self):
+        series = TimeSeries("depth")
+        series.observe(0.0, 2.0)
+        series.observe(1.0, 0.0)  # level 2 held for 1 s
+        series.observe(0.0, 4.0)  # a new clock: nothing integrated
+        series.observe(3.0, 0.0)  # level 4 held for 3 s
+        assert series.elapsed == pytest.approx(4.0)
+        assert series.mean() == pytest.approx(14.0 / 4.0)
+        assert series.mean() <= series.max_value
+
     def test_timeseries_ring_buffer_counts_dropped(self):
         series = TimeSeries("depth", capacity=4)
         for i in range(10):

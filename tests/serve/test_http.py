@@ -1,14 +1,18 @@
 """HTTP frontend integration tests over a real ephemeral port.
 
-Exercises the whole stack — urllib client → ThreadingHTTPServer →
+Exercises the whole stack — urllib client → ReproServer →
 SimService → SweepRunner — the way ``repro submit`` and the load-test
 harness drive it.
 """
 
 import email.message
+import http.client
 import io
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -158,6 +162,138 @@ class TestErrorMapping:
         job_id = client.submit_run("fig01")
         with pytest.raises(JobFailedError, match="kaboom"):
             client.wait(job_id, timeout=60)
+
+
+def _handler_threads(srv):
+    prefix = f"repro-serve-{srv.server_address[1]}-handler-"
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+class TestConnectionHandling:
+    def test_sequential_requests_reuse_handler_threads(self, server, client):
+        srv, _ = server
+        for _ in range(50):
+            assert client.health()["status"] == "ok"
+        # One connection per request; a handler thread may still be
+        # closing the last one when the next arrives.
+        assert 1 <= len(_handler_threads(srv)) <= 3
+
+    def test_concurrent_clients_keep_the_idle_count_exact(self, server):
+        # A lost update of the idle count either hands a connection to a
+        # busy thread (it waits, behind an event stream for a whole
+        # job) or starts threads that are never reused.
+        srv, url = server
+        clients, requests = 12, 15
+        failures = []
+
+        def hammer():
+            client = ServeClient(url, timeout=10.0)
+            try:
+                for _ in range(requests):
+                    client.health()
+            except Exception as exc:  # reported below, with the others
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        # Once the last connection is closed, every handler is idle.
+        deadline = time.monotonic() + 10.0
+        while srv._idle != len(_handler_threads(srv)):
+            assert time.monotonic() < deadline, "idle count drifted"
+            time.sleep(0.01)
+
+    def test_server_close_releases_handler_threads(self, tmp_path):
+        service = SimService(ServiceConfig(workers=1, cache_dir=str(tmp_path)))
+        srv = create_server(service, port=0)
+        accept = threading.Thread(target=srv.serve_forever, daemon=True)
+        accept.start()
+        client = ServeClient(
+            f"http://{srv.server_address[0]}:{srv.server_address[1]}",
+            timeout=10.0,
+        )
+        try:
+            for _ in range(5):
+                client.health()
+            threads = _handler_threads(srv)
+            assert threads
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            service.close()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_keep_alive_answers_leave_in_one_write(self, server, monkeypatch):
+        srv, _ = server
+        host, port = srv.server_address[:2]
+        writes = []
+        sendall = socket.socket.sendall
+
+        def spy(sock, data, *args):
+            if sock.getsockname()[1] == port:  # the server's end only
+                writes.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy)
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            for _ in range(20):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
+        assert len(writes) == 20
+
+    def test_open_event_streams_do_not_block_new_requests(self, tmp_path):
+        service = SimService(ServiceConfig(workers=1, cache_dir=str(tmp_path)))
+        gate = threading.Event()
+        execute = service.queue._executor
+
+        def blocked(job):
+            gate.wait(timeout=60.0)
+            return execute(job)
+
+        service.queue._executor = blocked
+        srv = create_server(service, port=0)
+        accept = threading.Thread(target=srv.serve_forever, daemon=True)
+        accept.start()
+        host, port = srv.server_address[:2]
+        client = ServeClient(f"http://{host}:{port}", tenant="streams", timeout=10.0)
+        streams = []
+        try:
+            job_id = client.submit_run("fig01")
+            for _ in range(20):
+                conn = http.client.HTTPConnection(host, port, timeout=10.0)
+                conn.request("GET", f"/v1/jobs/{job_id}/events")
+                streams.append(conn.getresponse())
+                conn.close()  # the response owns the socket now
+                assert streams[-1].status == 200
+            # Every stream holds a handler thread while the worker is
+            # blocked; new connections still get one.
+            assert len(_handler_threads(srv)) >= 20
+            assert client.health()["status"] == "ok"
+            queued = client.submit_whatif(scenario="baseline")
+            assert client.job(queued)["state"] == "queued"
+        finally:
+            gate.set()
+            for response in streams:
+                response.close()
+            srv.shutdown()
+            srv.server_close()
+            service.close()
 
 
 class TestBackpressureOverHttp:

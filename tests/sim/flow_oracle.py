@@ -13,6 +13,7 @@ every observable with ``==``.
 independently of the solver's core; the network oracle runs it on each
 :func:`reference_components` piece, and ``test_fairshare_core.py``
 checks the core against it with ``==``.
+:func:`split_components_bfs` is the solver's former component split.
 :func:`max_min_fair_rates_reference` is the pre-decomposition global
 solve: one fill over the whole system, not per connected component.  It
 agrees with the batch solver to within floating-point accumulation
@@ -185,6 +186,35 @@ def reference_components(flows: Sequence[FlowSpec]) -> list[list[FlowSpec]]:
                         stack.append(other)
         components.append(component)
     return components
+
+
+def split_components_bfs(
+    solver: FairshareSolver, flow_ids: Sequence[Hashable]
+) -> list[list[Hashable]]:
+    """Connected pieces of ``flow_ids`` by one search over all of them.
+
+    The solver's former split: seeds in ``flow_ids`` order, each piece
+    in ``flow_ids`` order.  :meth:`FairshareSolver._split_components`
+    must return exactly these lists.
+    """
+    pieces: list[list[Hashable]] = []
+    unvisited = set(flow_ids)
+    for seed in flow_ids:
+        if seed not in unvisited:
+            continue
+        stack = [seed]
+        unvisited.discard(seed)
+        piece: set[Hashable] = {seed}
+        while stack:
+            current = stack.pop()
+            for channel in solver._flows[current].channels:
+                for neighbour in solver._members.get(channel, ()):
+                    if neighbour in unvisited:
+                        unvisited.discard(neighbour)
+                        piece.add(neighbour)
+                        stack.append(neighbour)
+        pieces.append([f for f in flow_ids if f in piece])
+    return pieces
 
 
 def max_min_fair_rates_reference(

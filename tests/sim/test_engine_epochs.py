@@ -235,3 +235,21 @@ class TestHeapDepthMetrics:
             "timers_cancelled": 1,
             "heap_size": 0,
         }
+
+    def test_two_engines_feeding_one_series_keep_mean_within_max(self):
+        # Every engine of a capture shares the registry, and each one's
+        # clock starts again at 0: the series must integrate each
+        # engine's own intervals, not span first-to-last time.
+        registry = MetricsRegistry()
+        for depth in (8, 2):
+            engine = SimEngine(metrics=registry)
+            for _ in range(depth):
+                engine.call_after(1 * US, lambda: None)
+            engine.call_after(100 * US, lambda: None)
+            engine.run()
+        series = registry.timeseries("engine/heap_depth")
+        assert series.max_value == 9
+        # Depth 9 held for 99 us, then depth 3 held for 99 us.
+        assert series.elapsed == pytest.approx(198 * US)
+        assert series.mean() == pytest.approx(6.0)
+        assert series.mean() <= series.max_value

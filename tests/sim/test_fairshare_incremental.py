@@ -23,7 +23,7 @@ from repro.sim.fairshare import (
     max_min_fair_rates,
 )
 
-from .flow_oracle import max_min_fair_rates_reference
+from .flow_oracle import max_min_fair_rates_reference, split_components_bfs
 
 CHANNELS = [f"ch{i}" for i in range(12)]
 CAPACITIES = {
@@ -121,6 +121,50 @@ def test_component_solver_matches_global_reference(ops):
         assert rate == pytest.approx(reference[flow_id], rel=1e-9, abs=1e-12)
 
 
+def _checked_splits(solver: FairshareSolver) -> list[list[list]]:
+    """Make every component split of ``solver`` assert the BFS oracle.
+
+    Returns the list the split pieces are recorded into.
+    """
+    split = solver._split_components
+    recorded: list[list[list]] = []
+
+    def checked(flow_ids, seeds):
+        expected = split_components_bfs(solver, list(flow_ids))
+        pieces = split(flow_ids, seeds)
+        assert pieces == expected
+        recorded.append(pieces)
+        return pieces
+
+    solver._split_components = checked
+    return recorded
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    churn_sequences(),
+    st.randoms(use_true_random=False),
+)
+def test_split_matches_whole_component_bfs(ops, rng):
+    """Interleaved searches give the BFS pieces, in the BFS order."""
+    solver = _fresh_solver()
+    splits = _checked_splits(solver)
+    live: list[FlowSpec] = []
+    for next_id, op in enumerate(ops):
+        if op[0] == "add":
+            spec = FlowSpec(next_id, op[1], op[2])
+            live.append(spec)
+            solver.add_flow(spec)
+        else:
+            solver.remove_flow(live.pop(op[1]).flow_id)
+    # Tear the survivors down in a random order: late removals of
+    # bridges are where most splits happen.
+    rng.shuffle(live)
+    for spec in live:
+        solver.remove_flow(spec.flow_id)
+    assert all(piece for pieces in splits for piece in pieces)
+
+
 class TestSolverBookkeeping:
     def test_remove_splits_component(self):
         solver = _fresh_solver()
@@ -136,6 +180,29 @@ class TestSolverBookkeeping:
             [FlowSpec(0, ("ch0",), math.inf), FlowSpec(1, ("ch1",), math.inf)],
             CAPACITIES,
         )
+
+    def test_split_keeps_detached_pieces_and_the_rest_in_order(self):
+        solver = _fresh_solver()
+        splits = _checked_splits(solver)
+        # A chain over ch0..ch4, a piece on ch5 and one over ch6..ch7,
+        # bridged by flow 8 on ch3, ch5 and ch6.
+        specs = [
+            FlowSpec(0, ("ch5",), math.inf),
+            FlowSpec(1, ("ch0", "ch1"), math.inf),
+            FlowSpec(2, ("ch6",), math.inf),
+            FlowSpec(3, ("ch1", "ch2"), math.inf),
+            FlowSpec(4, ("ch2", "ch3"), math.inf),
+            FlowSpec(5, ("ch7",), math.inf),
+            FlowSpec(6, ("ch0", "ch4"), math.inf),
+            FlowSpec(7, ("ch6", "ch7"), 1.0),
+        ]
+        for spec in specs:
+            solver.add_flow(spec)
+        solver.add_flow(FlowSpec(8, ("ch3", "ch5", "ch6"), math.inf))
+        solver.remove_flow(8)
+        (pieces,) = splits  # checked against the oracle's order
+        assert sorted(pieces) == [[0], [1, 3, 4, 6], [2, 5, 7]]
+        assert solver.rates() == max_min_fair_rates(specs, CAPACITIES)
 
     def test_add_flow_returns_only_touched_component(self):
         solver = _fresh_solver()
