@@ -38,9 +38,10 @@ unfrozen flows incrementally; since all unfrozen flows share one fill
 level, a single running sum stands in for their rates.  Cap
 constraints are leveled per distinct cap value: flows with equal caps
 share one headroom, one freeze test and one clamp, so a round costs
-one step per cap group, not per capped flow.  A component that
-crosses no bindable channel (every rate is its cap) is filled by the
-cap groups alone.  A lone flow takes a closed-form fast path.
+one step per cap group, not per capped flow.  A fill that indexes no
+bindable channel gives every flow its cap in closed form; it walks the
+cap groups' rounds only to record a trace or freeze reasons.  A lone
+flow takes a closed-form fast path.
 ``tests/sim/flow_oracle.py`` holds an independent set-based reference
 loop the core must match bitwise.
 
@@ -97,6 +98,10 @@ _REPLAY_PROBE = 8
 #: Relative slack for "channel is full" / "flow reached its cap".
 _CHANNEL_SLACK = 1e-6
 _CAP_SLACK = 1e-9
+
+#: One cap group of a fill: the cap, the level at which it freezes, and
+#: the indices of its unfrozen members in flow order.
+_CapGroup = tuple[float, float, list[int]]
 
 
 class _Trace:
@@ -213,6 +218,113 @@ def _bindable_channels(
     }
 
 
+def _cap_groups(flows: Sequence[FlowSpec]) -> list[_CapGroup]:
+    """The capped flows of a fill grouped by distinct cap value.
+
+    Groups come in order of their first member and keep flow order
+    inside.  A group's members share one headroom, one freeze test and
+    one clamp, so each round of a fill computes them once per group.
+    """
+    by_cap: dict[float, list[int]] = {}
+    for j, flow in enumerate(flows):
+        cap = flow.cap
+        if cap < math.inf:
+            group = by_cap.get(cap)
+            if group is None:
+                by_cap[cap] = [j]
+            else:
+                group.append(j)
+    return [(cap, cap - _CAP_SLACK * cap, group) for cap, group in by_cap.items()]
+
+
+def _cap_headroom(groups: list[_CapGroup], level: float, delta: float) -> float:
+    """``delta`` lowered to the smallest cap headroom at ``level``."""
+    for cap, _, _ in groups:
+        headroom = cap - level
+        if headroom < delta:
+            delta = headroom
+    return delta
+
+
+def _binding_caps(
+    groups: list[_CapGroup], level: float, delta: float
+) -> list[int]:
+    """The flows whose cap headroom at ``level`` is exactly ``delta``.
+
+    Distinct caps can tie on headroom once rounded; the tied groups
+    then bind together, in flow order.
+    """
+    binding = [group for cap, _, group in groups if cap - level == delta]
+    if len(binding) > 1:
+        return sorted(j for group in binding for j in group)
+    return binding[0] if binding else []
+
+
+def _freeze_cap_groups(
+    groups: list[_CapGroup], level: float, frozen: "list[bool] | None"
+) -> tuple[list[_CapGroup], list[int], list[_CapGroup]]:
+    """Split the cap groups at fill ``level`` into reached and live ones.
+
+    A group freezes whole once the level is within the cap slack of its
+    cap.  Returns the groups that reached their cap, the flows they
+    freeze (in flow order, less the ones ``frozen`` marks as frozen by a
+    channel this round) and the groups still live.
+    """
+    reached = []
+    at_cap: list[int] = []
+    still = []
+    for entry in groups:
+        cap, cap_at, group = entry
+        if level < cap_at:
+            still.append(entry)
+            continue
+        reached.append(entry)
+        if frozen is not None:
+            group = [j for j in group if not frozen[j]]
+        if at_cap and group and group[0] < at_cap[-1]:
+            at_cap = sorted(at_cap + group)  # keep flow order
+        else:
+            at_cap += group
+    return reached, at_cap, still
+
+
+def _walk_cap_groups(
+    flows: Sequence[FlowSpec],
+    bottlenecks: "dict[Hashable, ChannelId | None] | None",
+    trace: "_Trace | None",
+    level: float,
+    round_index: int,
+) -> None:
+    """Record the rounds of a fill that indexes no channel.
+
+    With no channel to fill, every round raises the level by the
+    smallest cap headroom and freezes the groups at their cap; this
+    walks those rounds over the cap groups alone, writing the trace
+    and the (all ``None``) freeze reasons exactly as :func:`_fill`
+    does.  The rates are the caps.
+    """
+    ids = [flow.flow_id for flow in flows]
+    groups = _cap_groups(flows)
+    while groups:
+        delta = max(_cap_headroom(groups, level, math.inf), 0.0)
+        if trace is not None:
+            trace.deltas.append(delta)
+            trace.binding_channels.append(())
+            trace.binding_caps.append(
+                tuple([ids[j] for j in _binding_caps(groups, level, delta)])
+            )
+        level += delta
+        _, at_cap, groups = _freeze_cap_groups(groups, level, None)
+        if not at_cap:
+            raise SimulationError("progressive filling made no progress")
+        frozen = [ids[j] for j in at_cap]
+        if bottlenecks is not None:
+            bottlenecks.update(dict.fromkeys(frozen))
+        if trace is not None:
+            trace.freeze_round.update(dict.fromkeys(frozen, round_index))
+        round_index += 1
+
+
 def _fill(
     flows: Sequence[FlowSpec],
     capacities: Mapping[ChannelId, float],
@@ -239,6 +351,12 @@ def _fill(
     whole once the level is within the cap slack of its cap, and the
     clamp to the cap also reaches members a channel froze in the same
     round (they keep the channel's blame).
+
+    When no channel is indexed and every cap is finite, every flow
+    freezes at its cap, so the rates are the caps in flow order; the
+    rounds are walked over the cap groups alone
+    (:func:`_walk_cap_groups`), and only to record a trace or freeze
+    reasons.
 
     A fresh solve starts from full capacities at level 0.0 in round 0.
     A resumed one (dirty-set replay) passes the reconstructed
@@ -270,6 +388,14 @@ def _fill(
                     members[c].append(j)
                     own.append(c)
             flow_channels.append(own)
+    if not members:
+        rates = {flow.flow_id: flow.cap for flow in flows}
+        if math.inf not in rates.values():
+            # No channel can bind, so every flow freezes at its cap:
+            # the rounds only need walking to record them.
+            if trace is not None or bottlenecks is not None:
+                _walk_cap_groups(flows, bottlenecks, trace, level, round_index)
+            return rates
     channel_ids = list(index)
     capacity = [capacities[channel] for channel in channel_ids]
     if residuals is None:
@@ -279,31 +405,15 @@ def _fill(
     full_at = [_saturation_level(cap) for cap in capacity]
     count = [len(group) for group in members]
     live = list(range(len(members)))
-    # Cap groups: the unfrozen capped flows by distinct cap value, in
-    # flow order.  A group's members share one headroom, one freeze
-    # test and one clamp, so each round computes them once per group.
     ids = [flow.flow_id for flow in flows]
-    by_cap: dict[float, list[int]] = {}
-    for j, flow in enumerate(flows):
-        cap = flow.cap
-        if cap < math.inf:
-            group = by_cap.get(cap)
-            if group is None:
-                by_cap[cap] = [j]
-            else:
-                group.append(j)
-    groups = [(cap, cap - _CAP_SLACK * cap, group) for cap, group in by_cap.items()]
+    groups = _cap_groups(flows)
     rate = [level] * n
     frozen = [False] * n
     unfrozen = n
 
     while unfrozen:
         shares = [residual[c] / count[c] for c in live]
-        delta = min(shares) if live else math.inf
-        for cap, _, _ in groups:
-            headroom = cap - level
-            if headroom < delta:
-                delta = headroom
+        delta = _cap_headroom(groups, level, min(shares) if live else math.inf)
         if delta == math.inf:
             unfrozen_ids = [repr(ids[j]) for j in range(n) if not frozen[j]]
             raise SimulationError(
@@ -318,11 +428,8 @@ def _fill(
                     [channel_ids[c] for c, share in zip(live, shares) if share == delta]
                 )
             )
-            binding = [group for cap, _, group in groups if cap - level == delta]
-            if len(binding) > 1:
-                binding = [sorted(j for group in binding for j in group)]
             trace.binding_caps.append(
-                tuple([ids[j] for j in binding[0]]) if binding else ()
+                tuple([ids[j] for j in _binding_caps(groups, level, delta)])
             )
 
         level += delta
@@ -349,23 +456,14 @@ def _fill(
                         if not count[own]:
                             bottlenecks[ids[j]] = channel_ids[own]
                             break
-        # Groups at their cap freeze whole.  The clamp also reaches the
-        # members a channel froze this round; they keep its blame.
-        at_cap: list[int] = []
-        still = []
-        for entry in groups:
-            cap, cap_at, group = entry
-            if level < cap_at:
-                still.append(entry)
-                continue
+        # The clamp to the cap also reaches the members a channel froze
+        # this round; they keep its blame.
+        reached, at_cap, still = _freeze_cap_groups(
+            groups, level, frozen if frozen_now else None
+        )
+        for cap, _, group in reached:
             for j in group:
                 rate[j] = cap
-            if frozen_now:
-                group = [j for j in group if not frozen[j]]
-            if at_cap and group and group[0] < at_cap[-1]:
-                at_cap = sorted(at_cap + group)  # keep flow order
-            else:
-                at_cap += group
         if at_cap:
             for j in at_cap:
                 frozen[j] = True
@@ -755,7 +853,7 @@ class FairshareSolver:
                 raise SimulationError(
                     f"flow {spec.flow_id!r} uses unknown channel {channel!r}"
                 )
-        if not spec.channels and spec.cap is math.inf:
+        if not spec.channels and spec.cap == math.inf:
             raise SimulationError(
                 "unconstrained flows (no channels and no cap): "
                 f"{[repr(spec.flow_id)]}"
@@ -1151,7 +1249,7 @@ class FairshareSolver:
                 break
             added_binding: list[Hashable] = []
             for fid, spec in a_spec.items():
-                if fid in a_frozen or spec.cap is math.inf:
+                if fid in a_frozen or spec.cap == math.inf:
                     continue
                 term = spec.cap - a_rate[fid]
                 if term < delta:
@@ -1204,7 +1302,7 @@ class FairshareSolver:
                         bottleneck = channel
                         break
                 cap = spec.cap
-                capped = cap is not math.inf and a_rate[fid] >= cap - _CAP_SLACK * cap
+                capped = cap != math.inf and a_rate[fid] >= cap - _CAP_SLACK * cap
                 if bottleneck is not None:
                     a_frozen[fid] = r
                     a_bottleneck[fid] = bottleneck

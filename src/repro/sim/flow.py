@@ -364,7 +364,7 @@ class FlowNetwork:
             )
         if not cap > 0:  # also rejects NaN; checked before any state changes
             raise SimulationError(f"transfer cap must be positive, got {cap!r}")
-        if not channel_ids and cap is math.inf:
+        if not channel_ids and cap == math.inf:
             raise SimulationError("flow needs at least one channel or a cap")
 
         flow = Flow(

@@ -55,13 +55,21 @@ def reference_fill(
     capacities: Mapping[Hashable, float],
     bottlenecks: "dict[Hashable, Hashable | None] | None" = None,
     trace=None,
+    *,
+    level: float = 0.0,
+    round_index: int = 0,
 ) -> dict[Hashable, float]:
     """Set-based progressive filling: the reference for the solver's core.
 
     Every round re-derives each channel's active flows as ``group &
     unfrozen`` and raises every unfrozen rate one by one; the
     simulator's core keeps that state incrementally and must agree with
-    this loop bit for bit.
+    this loop bit for bit.  Every flow starts at ``level`` and rounds
+    are numbered from ``round_index`` (a resumed fill; its channels
+    start at full capacity).  Flows are visited in flow order: a round
+    records its cap bindings in flow order, and its freezes and freeze
+    reasons for the channel-frozen flows, then for the cap-frozen ones,
+    each in flow order.
 
     With ``bottlenecks`` (a dict to fill), each flow's freeze reason is
     recorded as a side product: the first channel in the flow's channel
@@ -72,8 +80,9 @@ def reference_fill(
     is recorded.  Attribution and tracing only *read* solver state, so
     the returned rates are bit-identical either way.
     """
-    rate: dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    unfrozen: set[Hashable] = set(rate)
+    rate: dict[Hashable, float] = {f.flow_id: level for f in flows}
+    # Insertion-ordered, so iterating it visits the flows in flow order.
+    unfrozen: dict[Hashable, None] = dict.fromkeys(rate)
     flows_by_id = {f.flow_id: f for f in flows}
 
     members: dict[Hashable, set[Hashable]] = {}
@@ -86,19 +95,18 @@ def reference_fill(
 
     # Each iteration freezes at least one flow, so the loop runs at
     # most len(flows) times.
-    round_index = 0
     while unfrozen:
         delta = math.inf
         for channel, group in members.items():
-            active = group & unfrozen
+            active = group & unfrozen.keys()
             if active:
                 delta = min(delta, residual[channel] / len(active))
         for flow_id in unfrozen:
             flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf:
+            if flow.cap != math.inf:
                 delta = min(delta, flow.cap - rate[flow_id])
 
-        if delta is math.inf:
+        if delta == math.inf:
             raise SimulationError(
                 "unconstrained flows (no channels and no cap): "
                 f"{sorted(map(repr, unfrozen))}"
@@ -108,13 +116,13 @@ def reference_fill(
         if trace is not None:
             binding_ch = []
             for channel, group in members.items():
-                active = group & unfrozen
+                active = group & unfrozen.keys()
                 if active and residual[channel] / len(active) == delta:
                     binding_ch.append(channel)
             binding_cap = []
             for flow_id in unfrozen:
                 flow = flows_by_id[flow_id]
-                if flow.cap is not math.inf and flow.cap - rate[flow_id] == delta:
+                if flow.cap != math.inf and flow.cap - rate[flow_id] == delta:
                     binding_cap.append(flow_id)
             trace.deltas.append(delta)
             trace.binding_channels.append(tuple(binding_ch))
@@ -123,18 +131,19 @@ def reference_fill(
         for flow_id in unfrozen:
             rate[flow_id] += delta
         for channel, group in members.items():
-            active = group & unfrozen
+            active = group & unfrozen.keys()
             if active:
                 residual[channel] -= delta * len(active)
 
-        frozen_now: set[Hashable] = set()
+        channel_frozen: set[Hashable] = set()
         full: set[Hashable] = set()
         for channel, group in members.items():
             # An unbounded channel never saturates (inf <= slack * inf).
             capacity = capacities[channel]
             if capacity != math.inf and residual[channel] <= _CHANNEL_SLACK * capacity:
                 full.add(channel)
-                frozen_now |= group & unfrozen
+                channel_frozen |= group & unfrozen.keys()
+        frozen_now = [flow_id for flow_id in unfrozen if flow_id in channel_frozen]
         if bottlenecks is not None:
             for flow_id in frozen_now:
                 # A channel-frozen flow crosses at least one full channel;
@@ -145,11 +154,12 @@ def reference_fill(
                         break
         for flow_id in unfrozen:
             flow = flows_by_id[flow_id]
-            if flow.cap is not math.inf and rate[flow_id] >= flow.cap - _CAP_SLACK * flow.cap:
-                if bottlenecks is not None and flow_id not in frozen_now:
-                    bottlenecks[flow_id] = None  # cap-bound, not channel-bound
+            if flow.cap != math.inf and rate[flow_id] >= flow.cap - _CAP_SLACK * flow.cap:
+                if flow_id not in channel_frozen:
+                    if bottlenecks is not None:
+                        bottlenecks[flow_id] = None  # cap-bound, not channel-bound
+                    frozen_now.append(flow_id)
                 rate[flow_id] = flow.cap
-                frozen_now.add(flow_id)
         if not frozen_now:
             raise SimulationError("progressive filling made no progress")
         if trace is not None:
@@ -157,7 +167,8 @@ def reference_fill(
                 trace.full_round.setdefault(channel, round_index)
             for flow_id in frozen_now:
                 trace.freeze_round[flow_id] = round_index
-        unfrozen -= frozen_now
+        for flow_id in frozen_now:
+            del unfrozen[flow_id]
         round_index += 1
 
     return rate

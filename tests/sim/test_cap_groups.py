@@ -17,7 +17,10 @@ per-flow loop:
 
 Rates, freeze reasons and traces must equal ``reference_fill`` with
 ``==``, and the incremental solver must equal the batch solve after
-every churn operation.
+every churn operation.  A fill that indexes no channel returns the caps
+and walks the cap groups only to record a trace or freeze reasons;
+``TestAllCappedFill`` checks that walk round for round, insertion order
+included, for fresh and resumed fills.
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.fairshare import (
     FairshareSolver,
     FlowSpec,
     _bindable_channels,
+    _fill,
     _solve_component,
     _Trace,
 )
 
-from .flow_oracle import assert_matches_oracles, solve_both
+from .flow_oracle import assert_matches_oracles, reference_fill, solve_both
 
 INF = float("inf")
 #: "wide" never binds under the caps drawn here; the others can.
@@ -77,6 +82,46 @@ def components(draw):
         for index in range(draw(st.integers(min_value=2, max_value=40)))
     ]
     return mixed, flows
+
+
+#: Caps of all-capped fills: repeats, values within the cap slack of
+#: one another, and the pair that ties on headroom above level 0.5.
+CAPPED_VALUES = (
+    0.5,
+    5.0,
+    10.0,
+    10.0 * (1 - 4e-10),
+    10.0 * (1 + 1e-10),
+    10.0 * (1 + 4e-10),
+    12.5,
+    20.0,
+    20.0 * (1 - 1e-10),
+    2.0**52 + 2,
+    2.0**52 + 3,
+)
+#: An unbounded channel never binds, whatever the caps.
+OPEN = {"open": INF}
+
+
+@st.composite
+def capped_fills(draw):
+    """An all-capped fill: flows, bindable set, level and round."""
+    values = draw(
+        st.lists(st.sampled_from(CAPPED_VALUES), min_size=1, max_size=6, unique=True)
+    )
+    extra = draw(st.lists(st.sampled_from(values), max_size=10))
+    flows = [
+        FlowSpec(index, draw(st.sampled_from(((), ("open",), ("open", "open")))), cap)
+        for index, cap in enumerate(draw(st.permutations(values + extra)))
+    ]
+    # Channels of other components may be bindable; none of these is.
+    bindable = draw(st.sampled_from((set(), {"elsewhere"})))
+    if draw(st.booleans()):  # resumed, as replay resumes and continues
+        level = draw(st.sampled_from((0.5, 1.0, 7.5, 10.0, 11.0, 2.0**51)))
+        round_index = draw(st.integers(min_value=1, max_value=5))
+    else:
+        level, round_index = 0.0, 0
+    return flows, bindable, level, round_index
 
 
 @st.composite
@@ -193,3 +238,61 @@ class TestChurnMatchesBatch:
             assert_matches_oracles(solver)
         assert not solver._bindable
         assert solver.stats.dirty_relevels > 0
+
+
+class TestAllCappedFill:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        fill=capped_fills(),
+        with_trace=st.booleans(),
+        with_blame=st.booleans(),
+    )
+    def test_matches_reference_round_for_round(self, fill, with_trace, with_blame):
+        flows, bindable, level, round_index = fill
+        assert not _bindable_channels(flows, OPEN)
+        trace = _Trace() if with_trace else None
+        blame = {} if with_blame else None
+        rates = _fill(flows, OPEN, bindable, blame, trace, None, level, round_index)
+        reference_trace = _Trace()
+        reference_blame: dict = {}
+        reference = reference_fill(
+            flows,
+            OPEN,
+            reference_blame,
+            reference_trace,
+            level=level,
+            round_index=round_index,
+        )
+        assert list(rates.items()) == list(reference.items())
+        assert rates == {flow.flow_id: flow.cap for flow in flows}
+        if with_trace:
+            assert trace.deltas == reference_trace.deltas
+            assert trace.binding_caps == reference_trace.binding_caps
+            assert trace.binding_channels == reference_trace.binding_channels
+            assert list(trace.freeze_round.items()) == list(
+                reference_trace.freeze_round.items()
+            )
+            assert trace.full_round == reference_trace.full_round == {}
+        if with_blame:
+            assert list(blame.items()) == list(reference_blame.items())
+
+    def test_tied_headroom_merges_in_flow_order_when_resumed(self):
+        # Resumed at level 0.5, the caps 2**52 + 2 and 2**52 + 3 tie
+        # on headroom: the round binds and freezes both groups in flow
+        # order, not group order.
+        low, high = 2.0**52 + 2, 2.0**52 + 3
+        flows = [FlowSpec(0, (), high), FlowSpec(1, (), low), FlowSpec(2, (), high)]
+        trace = _Trace()
+        blame: dict = {}
+        rates = _fill(flows, OPEN, set(), blame, trace, None, 0.5, 3)
+        assert rates == {0: high, 1: low, 2: high}
+        assert trace.deltas == [2.0**52 + 2]
+        assert trace.binding_channels == [()]
+        assert trace.binding_caps == [(0, 1, 2)]
+        assert list(trace.freeze_round.items()) == [(0, 3), (1, 3), (2, 3)]
+        assert list(blame.items()) == [(0, None), (1, None), (2, None)]
+
+    def test_uncapped_flow_without_channels_still_raises(self):
+        flows = [FlowSpec(0, (), 5.0), FlowSpec(1, (), INF)]
+        with pytest.raises(SimulationError, match="unconstrained"):
+            _fill(flows, OPEN, set())

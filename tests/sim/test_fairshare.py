@@ -244,7 +244,7 @@ def test_allocation_properties(problem):
             load[channel] += rates[flow.flow_id]
     for flow in flows:
         at_cap = (
-            flow.cap is not math.inf
+            flow.cap != math.inf
             and rates[flow.flow_id] >= flow.cap * (1 - 1e-6)
         )
         on_tight_channel = any(

@@ -220,6 +220,22 @@ class TestSolverBookkeeping:
         assert stats["flows_removed"] == 1
         assert stats["component_solves"] >= 2
 
+    def test_unconstrained_flow_is_rejected_up_front(self):
+        from repro.errors import SimulationError
+
+        solver = _fresh_solver()
+        solver.add_flow(FlowSpec(0, ("ch0",), math.inf))
+        rates = solver.rates()
+        with pytest.raises(SimulationError, match="unconstrained"):
+            solver.add_flow(FlowSpec(1, (), float("inf")))
+        assert 1 not in solver
+        assert solver.rates() == rates
+        assert list(solver._components.values()) == [{0: None}]
+        assert solver._component_of == {0: solver._component_of[0]}
+        assert solver.stats.flows_added == 1
+        solver.add_flow(FlowSpec(1, (), 2.0))  # the id is still free
+        assert solver.rate(1) == 2.0
+
     def test_remove_unknown_flow_raises(self):
         from repro.errors import SimulationError
 

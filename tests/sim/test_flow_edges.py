@@ -3,8 +3,9 @@
 Each class pins one historical bug: ``utilization()`` divided by zero
 (or inf) capacity, ``achieved_rate`` returned ``inf`` for zero-duration
 transfers, ``add_channel`` accepted non-positive capacities that
-blew up later mid-solve, a NaN size hung the run, a bad cap left a
-zombie flow behind, and metrics counted a repeated route channel twice.
+blew up later mid-solve, a NaN size hung the run, a bad cap or an
+unconstrained ``float("inf")`` cap left a zombie flow behind, and
+metrics counted a repeated route channel twice.
 """
 
 import math
@@ -127,6 +128,22 @@ class TestTransferValidation:
             engine.run()
         assert flow.finish_time == 10.0
         assert flow.flow_id == 0  # the rejected transfer took no id
+
+    def test_unconstrained_transfer_is_rejected_up_front(self):
+        # float("inf") is not the math.inf object: the guard must
+        # compare by value, or the flow reaches the solver and stays
+        # in the network after the solver rejects it.
+        engine, network = _network()
+        network.add_channel("c", 10.0)
+        with pytest.raises(SimulationError, match="at least one channel or a cap"):
+            network.transfer([], 10.0, cap=float("inf"))
+        assert network.active_flows() == []
+        assert len(network.solver) == 0
+        assert network.solver.stats.flows_added == 0
+        flow = network.transfer(["c"], 100.0)
+        engine.run()
+        assert flow.finish_time == 10.0
+        assert flow.flow_id == 0
 
 
 class TestRepeatedRouteChannel:

@@ -70,7 +70,7 @@ def test_all_flows_complete_and_conserve_bytes(scenario):
                 size, rel=1e-6
             )
         # No flow ever beat its own cap on average.
-        if cap is not math.inf and flow.elapsed and flow.elapsed > 0:
+        if cap != math.inf and flow.elapsed and flow.elapsed > 0:
             assert flow.achieved_rate <= cap * (1 + 1e-6)
 
 
