@@ -352,11 +352,11 @@ def _fill(
     clamp to the cap also reaches members a channel froze in the same
     round (they keep the channel's blame).
 
-    When no channel is indexed and every cap is finite, every flow
-    freezes at its cap, so the rates are the caps in flow order; the
-    rounds are walked over the cap groups alone
+    When no channel is indexed, every flow freezes at its cap, so the
+    rates are the caps in flow order (an uncapped flow is an error);
+    the rounds are walked over the cap groups alone
     (:func:`_walk_cap_groups`), and only to record a trace or freeze
-    reasons.
+    reasons.  The loop below therefore always has a channel.
 
     A fresh solve starts from full capacities at level 0.0 in round 0.
     A resumed one (dirty-set replay) passes the reconstructed
@@ -389,13 +389,17 @@ def _fill(
                     own.append(c)
             flow_channels.append(own)
     if not members:
+        # No channel can bind, so every flow freezes at its cap: the
+        # rounds only need walking to record them.
         rates = {flow.flow_id: flow.cap for flow in flows}
-        if math.inf not in rates.values():
-            # No channel can bind, so every flow freezes at its cap:
-            # the rounds only need walking to record them.
-            if trace is not None or bottlenecks is not None:
-                _walk_cap_groups(flows, bottlenecks, trace, level, round_index)
-            return rates
+        if math.inf in rates.values():
+            unbounded = [repr(fid) for fid, cap in rates.items() if cap == math.inf]
+            raise SimulationError(
+                f"unconstrained flows (no channels and no cap): {sorted(unbounded)}"
+            )
+        if trace is not None or bottlenecks is not None:
+            _walk_cap_groups(flows, bottlenecks, trace, level, round_index)
+        return rates
     channel_ids = list(index)
     capacity = [capacities[channel] for channel in channel_ids]
     if residuals is None:
@@ -485,12 +489,11 @@ def _fill(
                 dict.fromkeys([ids[j] for j in frozen_now], round_index)
             )
         unfrozen -= len(frozen_now)
-        if members:
-            for j in frozen_now:
-                for c in flow_channels[j]:
-                    if count[c]:
-                        count[c] -= 1
-            live = [c for c in live if count[c]]
+        for j in frozen_now:
+            for c in flow_channels[j]:
+                if count[c]:
+                    count[c] -= 1
+        live = [c for c in live if count[c]]
         round_index += 1
 
     return dict(zip(ids, rate))

@@ -292,7 +292,10 @@ class TestAllCappedFill:
         assert list(trace.freeze_round.items()) == [(0, 3), (1, 3), (2, 3)]
         assert list(blame.items()) == [(0, None), (1, None), (2, None)]
 
-    def test_uncapped_flow_without_channels_still_raises(self):
-        flows = [FlowSpec(0, (), 5.0), FlowSpec(1, (), INF)]
-        with pytest.raises(SimulationError, match="unconstrained"):
-            _fill(flows, OPEN, set())
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_uncapped_flow_without_channels_still_raises(self, recorded):
+        flows = [FlowSpec(0, (), 5.0), FlowSpec(1, (), INF), FlowSpec(2, (), INF)]
+        trace = _Trace() if recorded else None
+        blame: "dict | None" = {} if recorded else None
+        with pytest.raises(SimulationError, match=r"no cap\): \['1', '2'\]"):
+            _fill(flows, OPEN, set(), blame, trace)
