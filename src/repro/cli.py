@@ -15,8 +15,9 @@ Commands
 ``scenarios``
     List the what-if scenarios available for ablations.
 ``perf``
-    Benchmark the simulation core itself (events/sec, flow churn,
-    figure-sweep wall time); ``--json BENCH_core.json`` writes the report.
+    Benchmark the simulation core itself, one section per perfbench
+    layer (epoch dispatch, fair-share churn, cache reads, the serve
+    wave); ``--json BENCH_core.json`` writes the report.
 ``cache``
     Inspect (``show``) or empty (``clear``) the on-disk result cache.
 ``trace <artifact> --out trace.json``
@@ -666,13 +667,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="benchmark the simulation core (events/sec, flow churn)",
+        help="benchmark the simulation core (one section per perfbench layer)",
         parents=[_json_options()],
-    )
-    perf.add_argument(
-        "--smoke",
-        action="store_true",
-        help="scaled-down run for CI smoke checks (~seconds)",
     )
     perf.add_argument(
         "--only",
@@ -953,14 +949,13 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_perf(
-    smoke: bool,
     only: list[str] | None = None,
     json_out: str | None = None,
 ) -> int:
     from .perf.core import format_report, run_suite, write_report
 
     try:
-        report = run_suite(smoke=smoke, only=only)
+        report = run_suite(only=only)
     except ValueError as exc:  # unknown --only name
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1719,11 +1714,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             json_out=args.json_out,
         )
     if args.command == "perf":
-        return _cmd_perf(
-            args.smoke,
-            only=args.only,
-            json_out=args.json_out,
-        )
+        return _cmd_perf(only=args.only, json_out=args.json_out)
     if args.command == "cache":
         return _cmd_cache(args.action, args.cache_dir)
     if args.command == "serve":

@@ -13,7 +13,7 @@ Design constraints, mirroring :mod:`repro.obs.metrics`:
 - **Falsy when disabled.**  A disabled :class:`SpanRecorder` is falsy
   and ``begin`` returns ``None``, so instrumentation sites guard with
   ``if spans:`` and pay only a truthiness check when observability is
-  off (the ``repro perf`` overhead guard pins this at <= 5%).
+  off (``spans=None`` gets the shared disabled :data:`NULL_SPANS`).
 - **Clock-free.**  Callers pass simulated timestamps (``engine.now``)
   explicitly; the recorder never reads a clock, which keeps replays
   and pool workers deterministic.

@@ -1,25 +1,24 @@
 """Simulation-core performance harness (``repro perf``).
 
-Microbenchmarks for the hot paths of the DES core — event dispatch,
-timer cancellation, fair-share re-solving under flow churn — plus a
-figure-sweep macro timing.  ``run_suite`` produces the dictionary
-serialized to ``BENCH_core.json``; ``main`` backs the CLI subcommand.
+One microbenchmark per perfbench layer — epoch dispatch, fair-share
+churn, warm cache reads and the warm serve wave; ``SECTIONS`` maps each
+to the layer it explains.  ``run_suite`` produces the dictionary
+serialized to ``BENCH_core.json``, and the ``repro perf`` verb prints
+it with ``format_report`` and writes it with ``write_report``.
 """
 
 from .core import (
-    bench_engine_events,
-    bench_flow_churn,
-    bench_figure_sweep,
-    bench_timer_cancel,
+    HEADLINE_SPEC,
+    SECTIONS,
+    format_report,
     run_suite,
     write_report,
 )
 
 __all__ = [
-    "bench_engine_events",
-    "bench_flow_churn",
-    "bench_figure_sweep",
-    "bench_timer_cancel",
+    "HEADLINE_SPEC",
+    "SECTIONS",
+    "format_report",
     "run_suite",
     "write_report",
 ]

@@ -1,14 +1,16 @@
-"""Core microbenchmarks: events/sec, flow churn, figure-sweep time.
+"""Core microbenchmarks, one section per perfbench layer.
+
+Each section isolates one path that an end-to-end perfbench workload
+depends on, and :data:`SECTIONS` names the per-layer metric of
+``BENCHMARK.json`` it explains: epoch dispatch (``engine.self_s``),
+flow churn, capacity churn and cluster-scale churn
+(``fairshare.solve_s``), warm cache reads (``cache.load_s``) and the
+warm serve wave (``serve.execute_ms``).
 
 All scenarios are deterministic (sizes and channel memberships derive
 from loop indices), so two runs on the same machine measure the same
-work.  Wall-clock numbers are best-of-``repeats`` to damp scheduler
+work.  Wall-clock numbers are best-of-:data:`REPEATS` to damp scheduler
 noise.
-
-The flow-churn benchmarks are the headline: small-component churn
-(``flow_churn``) and churn inside one cluster-wide component
-(``solver_scaling``, up to 512 GCDs), both in flows per second.  The
-solver must stay O(affected) as the component grows.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ REPEATS = 3
 ROUND_DIGITS = 6
 
 
-def _best_of(fn: Callable[[], float], repeats: int) -> float:
-    return min(fn() for _ in range(max(1, repeats)))
+def _best_of(fn: Callable[[], float]) -> float:
+    return min(fn() for _ in range(REPEATS))
 
 
 def _git_sha() -> str:
@@ -68,36 +70,8 @@ def _round_floats(value: Any, digits: int = ROUND_DIGITS) -> Any:
 # -- event engine -------------------------------------------------------------
 
 
-def bench_engine_events(
-    num_timers: int = 200_000, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Throughput of pooled timer dispatch (events/sec)."""
-
-    def once() -> float:
-        engine = SimEngine()
-        sink = []
-
-        def fire(i: int) -> None:
-            if i % 1024 == 0:
-                sink.append(i)
-
-        t0 = time.perf_counter()
-        for i in range(num_timers):
-            # Deterministic pseudo-shuffled delays exercise the heap.
-            engine.call_after(((i * 2654435761) % 4096) * 1e-9, fire, i)
-        engine.run()
-        return time.perf_counter() - t0
-
-    elapsed = _best_of(once, repeats)
-    return {
-        "timers": num_timers,
-        "wall_seconds": elapsed,
-        "events_per_second": num_timers / elapsed,
-    }
-
-
 def bench_engine_epochs(
-    num_events: int = 200_000, fanout: int = 64, *, repeats: int = REPEATS
+    num_events: int = 200_000, fanout: int = 64
 ) -> dict[str, Any]:
     """Throughput of epoch (batched same-timestamp) dispatch.
 
@@ -109,9 +83,8 @@ def bench_engine_epochs(
     ``epoch_events_per_second`` is the acceptance headline for the
     batched event core.
 
-    Unlike :func:`bench_engine_events`, only the drain (``run()``) is
-    timed: scheduling-side cost is that benchmark's job, and here it
-    would bury the dispatch loop under the delay arithmetic.
+    Only the drain (``run()``) is timed: the scheduling side would bury
+    the dispatch loop under the delay arithmetic.
     """
     distinct = max(1, num_events // fanout)
 
@@ -132,48 +105,13 @@ def bench_engine_epochs(
         engine.run()
         return time.perf_counter() - t0
 
-    elapsed = _best_of(once, repeats)
+    elapsed = _best_of(once)
     return {
         "events": num_events,
         "fanout": fanout,
         "distinct_timestamps": distinct,
         "wall_seconds": elapsed,
         "epoch_events_per_second": num_events / elapsed,
-    }
-
-
-def bench_timer_cancel(
-    num_timers: int = 200_000, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Throughput of schedule + lazy O(1) cancel (timers/sec).
-
-    Half the timers are cancelled before the engine runs; cancelled
-    records are skipped (and recycled) during dispatch rather than
-    sifted out of the heap.
-    """
-
-    def once() -> float:
-        engine = SimEngine()
-
-        def fire() -> None:
-            pass
-
-        t0 = time.perf_counter()
-        handles = [
-            engine.schedule(((i * 2654435761) % 4096) * 1e-9, fire)
-            for i in range(num_timers)
-        ]
-        for handle in handles[::2]:
-            handle.cancel()
-        engine.run()
-        return time.perf_counter() - t0
-
-    elapsed = _best_of(once, repeats)
-    return {
-        "timers": num_timers,
-        "cancelled": num_timers // 2,
-        "wall_seconds": elapsed,
-        "timers_per_second": num_timers / elapsed,
     }
 
 
@@ -248,7 +186,7 @@ def _run_cluster_churn(
 
 
 def bench_solver_scaling(
-    node_counts: tuple[int, ...] = (2, 4, 16, 64), *, repeats: int = REPEATS
+    node_counts: tuple[int, ...] = (2, 4, 16, 64)
 ) -> dict[str, Any]:
     """Churn throughput inside one cluster-wide component, by size.
 
@@ -266,7 +204,7 @@ def bench_solver_scaling(
         topology = mi250x_cluster(nodes=nodes)
         best = float("inf")
         ops = 0
-        for _ in range(max(1, repeats)):
+        for _ in range(REPEATS):
             wall, ops = _run_cluster_churn(topology)
             best = min(best, wall)
         rows.append(
@@ -343,130 +281,67 @@ def _run_churn(
     return time.perf_counter() - t0
 
 
-def bench_flow_churn(
-    pairs: int = 32, flows_per_pair: int = 120, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Flow churn throughput over many small, sometimes-coupled components.
-
-    ``flows_per_second`` is the headline; ``check_bench.py`` holds it
-    against the committed baseline.
-    """
-    total_flows = pairs * flows_per_pair
-    elapsed = _best_of(lambda: _run_churn(pairs, flows_per_pair), repeats)
-    return {
-        "pairs": pairs,
-        "flows_per_pair": flows_per_pair,
-        "total_flows": total_flows,
-        "wall_seconds": elapsed,
-        "flows_per_second": total_flows / elapsed,
-    }
-
-
 def _interleaved_best_of(
-    variants: dict[str, Callable[[], float]], repeats: int
+    variants: dict[str, Callable[[], float]]
 ) -> dict[str, float]:
     """Best-of timing with warm-up and order alternation.
 
-    Overhead benchmarks compare near-identical workloads, so harness
-    bias dominates real differences unless (a) every variant runs once
+    Overhead ratios compare near-identical workloads, so harness bias
+    dominates real differences unless (a) every variant runs once
     untimed first — the process's first run pays allocator growth and
-    code-object warm-up, which used to land entirely on whichever
-    variant went first and produced *negative* overhead for the rest —
-    and (b) the measured visiting order alternates per repeat, so
-    slow machine-load drift hits all variants symmetrically.
+    code-object warm-up, which would otherwise land entirely on
+    whichever variant went first — and (b) the measured visiting order alternates
+    per repeat, so slow machine-load drift hits all variants
+    symmetrically.
     """
     names = list(variants)
     for name in names:  # warm-up, discarded
         variants[name]()
     best = dict.fromkeys(names, float("inf"))
-    for repeat in range(max(1, repeats)):
+    for repeat in range(REPEATS):
         order = names if repeat % 2 == 0 else list(reversed(names))
         for name in order:
             best[name] = min(best[name], variants[name]())
     return best
 
 
-def bench_metrics_overhead(
-    pairs: int = 32, flows_per_pair: int = 120, *, repeats: int = REPEATS
+def bench_flow_churn(
+    pairs: int = 32, flows_per_pair: int = 120
 ) -> dict[str, Any]:
-    """Cost of the observability layer on the flow-churn workload.
+    """Flow churn over many small, sometimes-coupled components.
 
-    Runs the identical flow-churn workload three ways: with the
-    shared disabled registry (the default every hot path takes), with a
-    freshly constructed disabled registry, and with metrics enabled.
-    ``disabled_overhead`` is the acceptance number — a disabled
-    registry must stay within a few percent of the default path,
-    because *every* simulation pays the ``if metrics:`` guard.
-    Timings go through :func:`_interleaved_best_of` so the ratios
-    measure the guard, not harness warm-up order.
+    Times the same churn workload three ways in one
+    :func:`_interleaved_best_of`: with observation off (the baseline
+    every simulation takes), with a metrics registry on, and with a
+    span recorder on.  ``flows_per_second`` is the baseline's
+    throughput; ``metrics_enabled_overhead`` and
+    ``spans_enabled_overhead`` are the enabled variants' cost over it.
     """
     from ..obs.metrics import MetricsRegistry
-
-    total_flows = pairs * flows_per_pair
-    best = _interleaved_best_of(
-        {
-            "baseline": lambda: _run_churn(pairs, flows_per_pair),
-            "disabled": lambda: _run_churn(
-                pairs,
-                flows_per_pair,
-                metrics=MetricsRegistry(enabled=False, sample_capacity=0),
-            ),
-            "enabled": lambda: _run_churn(
-                pairs, flows_per_pair, metrics=MetricsRegistry()
-            ),
-        },
-        repeats,
-    )
-    return {
-        "pairs": pairs,
-        "flows_per_pair": flows_per_pair,
-        "total_flows": total_flows,
-        "baseline_wall_seconds": best["baseline"],
-        "disabled_wall_seconds": best["disabled"],
-        "enabled_wall_seconds": best["enabled"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "enabled_overhead": best["enabled"] / best["baseline"] - 1.0,
-    }
-
-
-def bench_span_overhead(
-    pairs: int = 32, flows_per_pair: int = 120, *, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Cost of the causal-span layer on the flow-churn workload.
-
-    Same structure as :func:`bench_metrics_overhead`: baseline (no
-    recorder), a disabled recorder (the ``if spans:`` guard every flow
-    pays), and an enabled recorder (span per flow + solver bottleneck
-    tracking + per-interval blame accounting).  ``disabled_overhead``
-    is the acceptance number — spans off must stay within a few
-    percent of the uninstrumented path.
-    """
     from ..obs.spans import SpanRecorder
 
     total_flows = pairs * flows_per_pair
     best = _interleaved_best_of(
         {
             "baseline": lambda: _run_churn(pairs, flows_per_pair),
-            "disabled": lambda: _run_churn(
-                pairs,
-                flows_per_pair,
-                spans=SpanRecorder(enabled=False),
+            "metrics": lambda: _run_churn(
+                pairs, flows_per_pair, metrics=MetricsRegistry()
             ),
-            "enabled": lambda: _run_churn(
+            "spans": lambda: _run_churn(
                 pairs, flows_per_pair, spans=SpanRecorder()
             ),
-        },
-        repeats,
+        }
     )
     return {
         "pairs": pairs,
         "flows_per_pair": flows_per_pair,
         "total_flows": total_flows,
-        "baseline_wall_seconds": best["baseline"],
-        "disabled_wall_seconds": best["disabled"],
-        "enabled_wall_seconds": best["enabled"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "enabled_overhead": best["enabled"] / best["baseline"] - 1.0,
+        "wall_seconds": best["baseline"],
+        "metrics_wall_seconds": best["metrics"],
+        "spans_wall_seconds": best["spans"],
+        "flows_per_second": total_flows / best["baseline"],
+        "metrics_enabled_overhead": best["metrics"] / best["baseline"] - 1.0,
+        "spans_enabled_overhead": best["spans"] / best["baseline"] - 1.0,
     }
 
 
@@ -508,7 +383,7 @@ def _run_capacity_churn(pairs: int, changes: int) -> float:
 
 
 def bench_set_capacity(
-    pairs: int = 32, changes: int = 20_000, *, repeats: int = REPEATS
+    pairs: int = 32, changes: int = 20_000
 ) -> dict[str, Any]:
     """Throughput of dynamic capacity changes on a loaded network.
 
@@ -517,7 +392,7 @@ def bench_set_capacity(
     re-levels only the touched component, so this must stay within the
     same order as flow churn, not degrade to a whole-system re-solve.
     """
-    elapsed = _best_of(lambda: _run_capacity_churn(pairs, changes), repeats)
+    elapsed = _best_of(lambda: _run_capacity_churn(pairs, changes))
     return {
         "pairs": pairs,
         "changes": changes,
@@ -526,151 +401,23 @@ def bench_set_capacity(
     }
 
 
-# -- figure sweep ---------------------------------------------------------------
+def bench_cache_hit() -> dict[str, Any]:
+    """Cold vs warm sweep of one 28-point grid through a fresh cache.
 
-
-def bench_figure_sweep(*, smoke: bool = False) -> dict[str, Any]:
-    """Wall time of a representative slice of the figure pipeline."""
-    from ..bench_suites.comm_scope import h2d_sweep, peer_sweep
-
-    if smoke:
-        h2d_sizes = [4 * MiB]
-        peer_sizes = [4 * MiB]
-        interfaces = ("pinned_memcpy",)
-    else:
-        h2d_sizes = [1 * MiB, 16 * MiB, 256 * MiB, 1 * GiB]
-        peer_sizes = [1 * MiB, 64 * MiB, 1 * GiB]
-        interfaces = ("pinned_memcpy", "managed_zerocopy", "managed_migration")
-
-    t0 = time.perf_counter()
-    h2d = h2d_sweep(interfaces, h2d_sizes)
-    peer = peer_sweep(sizes=peer_sizes)
-    elapsed = time.perf_counter() - t0
-    return {
-        "measurements": len(h2d) + len(peer),
-        "wall_seconds": elapsed,
-    }
-
-
-# -- sweep runner ---------------------------------------------------------------
-
-
-def _parallel_workload(smoke: bool):
+    The warm run pays one key pass and one ``ResultCache.load_many``
+    read, the path a warm ``repro run`` or serve answer takes.
+    """
     from ..bench_suites.comm_scope import h2d_points, peer_points
-
-    if smoke:
-        sizes = [4 * MiB, 64 * MiB]
-        interfaces = ("pinned_memcpy", "managed_zerocopy")
-    else:
-        sizes = [1 * MiB, 16 * MiB, 256 * MiB, 1 * GiB]
-        interfaces = (
-            "pageable_memcpy",
-            "pinned_memcpy",
-            "managed_zerocopy",
-            "managed_migration",
-        )
-    return h2d_points(interfaces, sizes) + peer_points(sizes=sizes)
-
-
-def bench_sweep_parallel(*, jobs: int | None = None) -> dict[str, Any]:
-    """Serial vs multi-process sweep over one uncached point grid.
-
-    ``jobs`` defaults to the CPUs this process may run on (at most 4).
-    ``speedup`` is ``None`` when the "parallel" run was effectively
-    serial — one job, or a fallback to serial execution in sandboxes
-    without multiprocessing (``parallel_fallbacks``) — so no speedup is
-    claimed for it.  The grid is full-size even under ``--smoke`` — a
-    too-small grid would measure pool start-up, not sweep throughput.
-    """
-    from ..runner import SweepRunner
-    from ..runner.runner import available_cpus
-
-    points = _parallel_workload(False)
-    cores = available_cpus()
-    if jobs is None:
-        jobs = min(4, cores)
-    serial = SweepRunner(jobs=1, use_cache=False)
-    t0 = time.perf_counter()
-    serial_outputs = serial.run_points(points)
-    serial_wall = time.perf_counter() - t0
-    parallel = SweepRunner(jobs=jobs, use_cache=False)
-    t0 = time.perf_counter()
-    parallel_outputs = parallel.run_points(points)
-    parallel_wall = time.perf_counter() - t0
-    fallbacks = parallel.stats.parallel_fallbacks
-    serial_only = jobs < 2 or fallbacks > 0
-    return {
-        "points": len(points),
-        "jobs": jobs,
-        "cores": cores,
-        "parallel_fallbacks": fallbacks,
-        "serial_wall_seconds": serial_wall,
-        "parallel_wall_seconds": parallel_wall,
-        "speedup": None if serial_only else serial_wall / max(parallel_wall, 1e-9),
-        "identical_outputs": serial_outputs == parallel_outputs,
-    }
-
-
-def bench_shadow_replay(
-    *, smoke: bool = False, repeats: int = REPEATS
-) -> dict[str, Any]:
-    """Windowed digital-twin replay throughput (``repro shadow``).
-
-    Synthesizes fig06 telemetry once (outside the timed region), then
-    replays it in event-time windows measuring end-to-end ledger
-    assembly: record→point mapping, re-simulation, drift attribution
-    along routed paths.  ``shadow_replay_windows_per_second`` is the
-    acceptance number — shadow mode must keep up with a telemetry
-    feed, not lag it.
-    """
-    from ..twin.replay import shadow_replay
-    from ..twin.synthesize import synthesize_telemetry
-
-    stream = synthesize_telemetry("fig06")
-    window_count = 4 if smoke else 16
-    window = stream.span / window_count
-    windows = len(stream.windows(window))
-
-    def run() -> float:
-        t0 = time.perf_counter()
-        report = shadow_replay(stream, window=window)
-        elapsed = time.perf_counter() - t0
-        assert report.max_abs_drift == 0.0  # synthetic round trip is exact
-        return elapsed
-
-    elapsed = _best_of(run, repeats)
-    return {
-        "records": len(stream),
-        "windows": windows,
-        "window_seconds": window,
-        "wall_seconds": elapsed,
-        "records_per_second": len(stream) / elapsed,
-        "shadow_replay_windows_per_second": windows / elapsed,
-    }
-
-
-def bench_serve(*, smoke: bool = False) -> dict[str, Any]:
-    """Concurrent what-if load against a live ``repro serve`` instance.
-
-    Delegates to :func:`repro.serve.loadtest.run_load_test`: a real
-    ``ThreadingHTTPServer`` on an ephemeral port takes a barrier-released
-    wave of concurrent what-if submissions (200 clients in the full
-    suite — the acceptance scale — 48 under ``--smoke``), then the same
-    wave again warm, then an over-quota burst.  The harness itself
-    asserts the service properties (zero warm misses, bit-identical
-    warm results, 429+Retry-After under burst); the suite records the
-    warm wave's sustained request rate and p99 latency as headlines.
-    """
-    from ..serve.loadtest import run_load_test
-
-    return run_load_test(clients=48 if smoke else 200)
-
-
-def bench_cache_hit(*, smoke: bool = False) -> dict[str, Any]:
-    """Cold vs warm sweep against a throwaway result cache."""
     from ..runner import ResultCache, SweepRunner
 
-    points = _parallel_workload(smoke)
+    sizes = [1 * MiB, 16 * MiB, 256 * MiB, 1 * GiB]
+    interfaces = (
+        "pageable_memcpy",
+        "pinned_memcpy",
+        "managed_zerocopy",
+        "managed_migration",
+    )
+    points = h2d_points(interfaces, sizes) + peer_points(sizes=sizes)
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cold_runner = SweepRunner(jobs=1, cache=ResultCache(tmp))
         t0 = time.perf_counter()
@@ -690,146 +437,82 @@ def bench_cache_hit(*, smoke: bool = False) -> dict[str, Any]:
     }
 
 
+def bench_serve() -> dict[str, Any]:
+    """Concurrent what-if load against a live ``repro serve`` instance.
+
+    Delegates to :func:`repro.serve.loadtest.run_load_test`: a real
+    :class:`~repro.serve.http.ReproServer` on an ephemeral port takes a
+    barrier-released wave of 200 concurrent what-if submissions, then
+    the same wave again warm, then an over-quota burst.  The harness
+    itself asserts the service properties (zero warm misses,
+    bit-identical warm results, 429+Retry-After under burst); the suite
+    records the warm wave's sustained request rate and p99 latency as
+    headlines.
+    """
+    from ..serve.loadtest import run_load_test
+
+    return run_load_test(clients=200)
+
+
 # -- suite ---------------------------------------------------------------------
 
 
 #: Report schema; ``check_bench.py`` accepts no other.
-SCHEMA = "repro-bench-core/9"
+SCHEMA = "repro-bench-core/10"
+
+#: The suite's sections in run order (the ``--only`` vocabulary):
+#: name → (the ``BENCHMARK.json`` per-layer metric the section
+#: explains, the benchmark).  A section stays only while it isolates a
+#: path that a perfbench layer, and so an end-to-end number, depends on.
+SECTIONS: dict[str, tuple[str, Callable[[], dict[str, Any]]]] = {
+    "engine_epochs": ("engine.self_s", bench_engine_epochs),
+    "flow_churn": ("fairshare.solve_s", bench_flow_churn),
+    "set_capacity": ("fairshare.solve_s", bench_set_capacity),
+    "solver_scaling": ("fairshare.solve_s", bench_solver_scaling),
+    "cache_hit": ("cache.load_s", bench_cache_hit),
+    "serve": ("serve.execute_ms", bench_serve),
+}
 
 #: One row per headline: ``(key, results section, key within the
-#: section, floor, baseline)``.  The headline block is assembled from
-#: whichever sections actually ran, skipping values a section reports
-#: as ``None``.  ``floor`` is ``(">=", bound)``, ``("<=", bound)`` or
-#: ``None``: ``check_bench.py`` fails a report whose value breaks it.
-#: ``baseline`` marks the throughputs ``check_bench.py --baseline``
-#: compares against an earlier report.
-HEADLINE_SPEC: tuple[
-    tuple[str, str, str, tuple[str, float] | None, bool], ...
-] = (
-    ("events_per_second", "engine_events", "events_per_second", None, True),
+#: section, floor)``.  The headline block is assembled from whichever
+#: sections actually ran.  ``floor`` is ``(">=", bound)``,
+#: ``("<=", bound)`` or ``None``: ``check_bench.py`` fails a report
+#: whose value breaks it.
+HEADLINE_SPEC: tuple[tuple[str, str, str, tuple[str, float] | None], ...] = (
     (
         "epoch_events_per_second",
         "engine_epochs",
         "epoch_events_per_second",
         (">=", 400_000),
-        True,
     ),
-    ("churn_flows_per_second", "flow_churn", "flows_per_second", None, True),
+    ("churn_flows_per_second", "flow_churn", "flows_per_second", None),
+    ("metrics_enabled_overhead", "flow_churn", "metrics_enabled_overhead", None),
+    ("spans_enabled_overhead", "flow_churn", "spans_enabled_overhead", None),
     (
         "capacity_changes_per_second",
         "set_capacity",
         "capacity_changes_per_second",
         (">=", 5_000),
-        True,
     ),
     (
         "churn_large_flows_per_second",
         "flow_churn_large",
         "flows_per_second",
         (">=", 1_000),
-        True,
     ),
-    (
-        "metrics_disabled_overhead",
-        "metrics_overhead",
-        "disabled_overhead",
-        ("<=", 0.05),
-        False,
-    ),
-    (
-        "metrics_enabled_overhead",
-        "metrics_overhead",
-        "enabled_overhead",
-        None,
-        False,
-    ),
-    (
-        "spans_disabled_overhead",
-        "span_overhead",
-        "disabled_overhead",
-        ("<=", 0.05),
-        False,
-    ),
-    ("spans_enabled_overhead", "span_overhead", "enabled_overhead", None, False),
-    ("figure_sweep_seconds", "figure_sweep", "wall_seconds", None, False),
-    ("sweep_parallel_speedup", "sweep_parallel", "speedup", (">=", 1.5), False),
-    ("cache_hit_speedup", "cache_hit", "speedup", (">=", 2.0), False),
-    (
-        "shadow_replay_windows_per_second",
-        "shadow_replay",
-        "shadow_replay_windows_per_second",
-        (">=", 5),
-        True,
-    ),
+    ("cache_hit_speedup", "cache_hit", "speedup", (">=", 2.0)),
     (
         "serve_requests_per_second",
         "serve",
         "serve_requests_per_second",
         (">=", 5),
-        False,
     ),
-    (
-        "serve_whatif_p99_ms",
-        "serve",
-        "serve_whatif_p99_ms",
-        ("<=", 60_000),
-        False,
-    ),
+    ("serve_whatif_p99_ms", "serve", "serve_whatif_p99_ms", ("<=", 60_000)),
 )
 
 
-def suite_sections(
-    *, smoke: bool = False
-) -> dict[str, Callable[[], dict[str, Any]]]:
-    """Name → thunk for every suite section (the ``--only`` vocabulary).
-
-    Smoke runs are best-of-1; the full suite is best-of-:data:`REPEATS`.
-    """
-    repeats = 1 if smoke else REPEATS
-    scale = 10 if smoke else 1
-    shrink = 4 if smoke else 1
-    return {
-        "engine_events": lambda: bench_engine_events(
-            200_000 // scale, repeats=repeats
-        ),
-        "engine_epochs": lambda: bench_engine_epochs(
-            200_000 // scale, repeats=repeats
-        ),
-        "timer_cancel": lambda: bench_timer_cancel(
-            200_000 // scale, repeats=repeats
-        ),
-        "flow_churn": lambda: bench_flow_churn(
-            32 // shrink, 120 // shrink, repeats=repeats
-        ),
-        "metrics_overhead": lambda: bench_metrics_overhead(
-            32 // shrink, 120 // shrink, repeats=repeats
-        ),
-        "span_overhead": lambda: bench_span_overhead(
-            32 // shrink, 120 // shrink, repeats=repeats
-        ),
-        "set_capacity": lambda: bench_set_capacity(
-            32 // shrink, 20_000 // scale, repeats=repeats
-        ),
-        # Smoke stops at the CI-sized 128-GCD cluster; the full suite
-        # sweeps to 512 GCDs (the acceptance point for dirty-set
-        # re-leveling).
-        "solver_scaling": lambda: bench_solver_scaling(
-            (2, 16) if smoke else (2, 4, 16, 64), repeats=repeats
-        ),
-        "figure_sweep": lambda: bench_figure_sweep(smoke=smoke),
-        "sweep_parallel": lambda: bench_sweep_parallel(),
-        "cache_hit": lambda: bench_cache_hit(smoke=smoke),
-        "shadow_replay": lambda: bench_shadow_replay(
-            smoke=smoke, repeats=repeats
-        ),
-        "serve": lambda: bench_serve(smoke=smoke),
-    }
-
-
 def run_suite(
-    *,
-    smoke: bool = False,
-    only: "list[str] | tuple[str, ...] | None" = None,
+    *, only: "list[str] | tuple[str, ...] | None" = None
 ) -> dict[str, Any]:
     """Run the microbenchmarks; returns the ``BENCH_core.json`` payload.
 
@@ -846,32 +529,30 @@ def run_suite(
     """
     from .. import __version__
 
-    sections = suite_sections(smoke=smoke)
-    selected = list(sections)
+    selected = list(SECTIONS)
     if only is not None:
-        unknown = [name for name in only if name not in sections]
+        unknown = [name for name in only if name not in SECTIONS]
         if unknown:
-            known = ", ".join(sections)
+            known = ", ".join(SECTIONS)
             raise ValueError(
                 f"unknown benchmark(s) {', '.join(unknown)} (known: {known})"
             )
-        selected = [name for name in sections if name in set(only)]
-    results = {name: sections[name]() for name in selected}
+        selected = [name for name in SECTIONS if name in set(only)]
+    results = {name: SECTIONS[name][1]() for name in selected}
     if "solver_scaling" in results:
         results["flow_churn_large"] = flow_churn_large_from_scaling(
             results["solver_scaling"]
         )
     headline = {
         key: results[section][field]
-        for key, section, field, _floor, _baseline in HEADLINE_SPEC
-        if section in results and results[section][field] is not None
+        for key, section, field, _floor in HEADLINE_SPEC
+        if section in results
     }
     report = {
         "schema": SCHEMA,
         "version": __version__,
         "git_sha": _git_sha(),
         "python": sys.version.split()[0],
-        "smoke": smoke,
         "results": _round_floats(results),
         "headline": _round_floats(headline),
         "meta": {
@@ -896,22 +577,15 @@ def format_report(report: dict[str, Any]) -> str:
     results = report["results"]
     formatters: tuple[tuple[str, Callable[[dict[str, Any]], str]], ...] = (
         (
-            "engine_events",
-            lambda r: f"  event dispatch   {r['events_per_second']:>12,.0f} events/s",
-        ),
-        (
             "engine_epochs",
             lambda r: f"  epoch dispatch   {r['epoch_events_per_second']:>12,.0f} events/s "
             f"(fanout {r['fanout']})",
         ),
         (
-            "timer_cancel",
-            lambda r: f"  timer cancel     {r['timers_per_second']:>12,.0f} timers/s",
-        ),
-        (
             "flow_churn",
             lambda r: f"  flow churn       {r['flows_per_second']:>12,.0f} flows/s "
-            f"({r['pairs']} pairs)",
+            f"({r['pairs']} pairs; metrics on {r['metrics_enabled_overhead']:+.1%}, "
+            f"spans on {r['spans_enabled_overhead']:+.1%})",
         ),
         (
             "set_capacity",
@@ -924,38 +598,9 @@ def format_report(report: dict[str, Any]) -> str:
             f"({r['gcds']} GCDs)",
         ),
         (
-            "metrics_overhead",
-            lambda r: f"  metrics overhead {r['disabled_overhead']:>12.1%} disabled "
-            f"/ {r['enabled_overhead']:+.1%} enabled",
-        ),
-        (
-            "span_overhead",
-            lambda r: f"  span overhead    {r['disabled_overhead']:>12.1%} disabled "
-            f"/ {r['enabled_overhead']:+.1%} enabled",
-        ),
-        (
-            "figure_sweep",
-            lambda r: f"  figure sweep     {r['wall_seconds']:>12.2f} s "
-            f"({r['measurements']} measurements)",
-        ),
-        (
-            "sweep_parallel",
-            lambda r: (
-                f"  sweep parallel   {r['speedup']:>12.2f} x "
-                if r["speedup"] is not None
-                else "  sweep parallel            n/a (serial run) "
-            )
-            + f"({r['jobs']} job(s) over {r['points']} points)",
-        ),
-        (
             "cache_hit",
             lambda r: f"  cache hit        {r['speedup']:>12.2f} x "
             f"(warm over cold, {r['points']} points)",
-        ),
-        (
-            "shadow_replay",
-            lambda r: f"  shadow replay    {r['shadow_replay_windows_per_second']:>12,.1f} windows/s "
-            f"({r['records']} records, {r['windows']} windows)",
         ),
         (
             "serve",
@@ -964,11 +609,7 @@ def format_report(report: dict[str, Any]) -> str:
             f"{r['burst']['rejected']}/{r['burst']['sent']} burst 429s)",
         ),
     )
-    lines = [
-        f"simulation-core performance ({report['python']}, "
-        + ("smoke)" if report["smoke"] else "full)"),
-        "",
-    ]
+    lines = [f"simulation-core performance ({report['python']})", ""]
     for section, fmt in formatters:
         if section in results:
             lines.append(fmt(results[section]))

@@ -18,8 +18,8 @@ ephemeral port and hammers it the way production traffic would:
 Latency is measured submit→done per request; the warm wave's p50/p95/
 p99 and sustained request rate are the headline numbers recorded in
 ``BENCH_core.json`` and guarded by ``check_bench.py``.  The entry
-point is the ``serve`` section of ``repro perf`` (``repro perf --smoke
---only serve`` runs it alone).
+point is the ``serve`` section of ``repro perf`` (``repro perf --only
+serve`` runs it alone).
 """
 
 from __future__ import annotations

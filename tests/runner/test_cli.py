@@ -51,7 +51,7 @@ class TestRunCommand:
     [
         ["run", "fig01"],
         ["validate"],
-        ["perf", "--smoke", "--only", "engine_events"],
+        ["perf", "--only", "engine_epochs"],
     ],
     ids=["run", "validate", "perf"],
 )
