@@ -6,17 +6,21 @@ Usage::
 
 Fails (exit 1) when a headline breaks its floor.  The floors live in
 one table, ``repro.perf.core.HEADLINE_SPEC``, next to the sections that
-produce the headlines:
+produce the headlines.  Each floor sits at about a third of the
+committed ``BENCH_core.json`` value or below (the p99 ceiling at five
+times it) and below the slowest of thirteen fresh reports on one
+2-vCPU guest, so run-to-run drift passes while, on the committed
+guest, a 3x slowdown of ``set_capacity`` fails:
 
-- ``epoch_events_per_second >= 400,000``: the epoch dispatcher drains
+- ``epoch_events_per_second >= 500,000``: the epoch dispatcher drains
   same-timestamp bursts in bulk;
-- ``capacity_changes_per_second >= 5,000``: fault injection re-levels
+- ``capacity_changes_per_second >= 25,000``: fault injection re-levels
   in-flight flows on every ``set_capacity`` call;
-- ``churn_large_flows_per_second >= 1,000`` on the 512-GCD cluster,
+- ``churn_large_flows_per_second >= 1,200`` on the 512-GCD cluster,
   else the solver has regressed to O(system) churn;
-- ``cache_hit_speedup >= 2`` (warm runs only deserialize pickles);
-- ``serve_requests_per_second >= 5`` and ``serve_whatif_p99_ms <=
-  60,000`` on the warm serve wave, which is pure shared-store dedup.
+- ``cache_hit_speedup >= 12`` (warm runs only deserialize pickles);
+- ``serve_requests_per_second >= 100`` and ``serve_whatif_p99_ms <=
+  2,000`` on the warm serve wave, which is pure shared-store dedup.
 
 A headline missing from a section that ran fails.  Sections left out
 by ``repro perf --only`` are skipped.  Only ``repro-bench-core/10``

@@ -131,7 +131,7 @@ class FaultInjector:
                 self.node.gcd(gcd)  # raises TopologyError when absent
             elif isinstance(event, PageMigrationStorm):
                 channel = self.node.cpu.dram_channel(event.numa)
-                healthy = self.node.network.channel(channel).capacity
+                healthy = self.node.network.capacity(channel)
                 if event.rate >= healthy:
                     raise ConfigurationError(
                         f"page-migration storm rate {event.rate:g} B/s would "
@@ -205,7 +205,7 @@ class FaultInjector:
 
     def _remember_healthy(self, channel: Hashable) -> float:
         network = self.node.network
-        return self._healthy.setdefault(channel, network.channel(channel).capacity)
+        return self._healthy.setdefault(channel, network.capacity(channel))
 
     def _apply_link_degrade(self, event: LinkDegrade) -> None:
         link = resolve_link(self.node.topology, event.link)

@@ -25,33 +25,47 @@ from typing import Hashable
 
 from ..core.calibration import CalibrationProfile
 from ..errors import TopologyError
-from ..sim.flow import FlowNetwork
 from ..topology.node import NodeTopology
+
+#: Channel id of the socket fabric (one per node).
+SOCKET_CHANNEL: Hashable = ("socket",)
+
+
+def dram_channel_id(numa_index: int) -> Hashable:
+    """Channel id of a NUMA domain's DRAM."""
+    return ("dram", numa_index)
+
+
+def port_channel_id(numa_index: int) -> Hashable:
+    """Channel id of a NUMA domain's Infinity Fabric port."""
+    return ("numaport", numa_index)
+
+
+def cpu_channels(
+    topology: NodeTopology, calibration: CalibrationProfile
+) -> list[tuple[Hashable, float]]:
+    """``(channel id, capacity)`` of the socket: its fabric, then per NUMA
+    domain its DRAM and its IF port."""
+    channels = [(SOCKET_CHANNEL, calibration.socket_fabric_bw)]
+    for numa in topology.numa_domains():
+        channels.append((dram_channel_id(numa.index), calibration.dram_bw_per_numa))
+        channels.append((port_channel_id(numa.index), calibration.numa_ifport_bw))
+    return channels
 
 
 class CpuSocket:
     """CPU-side channels and affinity queries."""
 
-    def __init__(
-        self,
-        topology: NodeTopology,
-        calibration: CalibrationProfile,
-        network: FlowNetwork,
-    ) -> None:
+    def __init__(self, topology: NodeTopology, calibration: CalibrationProfile) -> None:
         self.topology = topology
         self._calibration = calibration
         self.dram_latency = calibration.dram_latency
-        self.socket_channel: Hashable = ("socket",)
-        network.add_channel(self.socket_channel, calibration.socket_fabric_bw)
+        self.socket_channel = SOCKET_CHANNEL
         self._dram_channels: dict[int, Hashable] = {}
         self._port_channels: dict[int, Hashable] = {}
         for numa in topology.numa_domains():
-            dram = ("dram", numa.index)
-            port = ("numaport", numa.index)
-            network.add_channel(dram, calibration.dram_bw_per_numa)
-            network.add_channel(port, calibration.numa_ifport_bw)
-            self._dram_channels[numa.index] = dram
-            self._port_channels[numa.index] = port
+            self._dram_channels[numa.index] = dram_channel_id(numa.index)
+            self._port_channels[numa.index] = port_channel_id(numa.index)
 
     def dram_channel(self, numa_index: int) -> Hashable:
         """DRAM channel id of a NUMA domain."""

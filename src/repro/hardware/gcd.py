@@ -10,7 +10,6 @@ caps through it.
 from __future__ import annotations
 
 from ..core.calibration import CalibrationProfile
-from ..sim.flow import FlowNetwork
 from ..topology.node import GcdInfo
 from .cache import CacheHierarchy
 from .hbm import HbmStack
@@ -20,17 +19,12 @@ from .sdma import SdmaEngines
 class GcdDevice:
     """Live per-GCD hardware state."""
 
-    def __init__(
-        self,
-        info: GcdInfo,
-        calibration: CalibrationProfile,
-        network: FlowNetwork,
-    ) -> None:
+    def __init__(self, info: GcdInfo, calibration: CalibrationProfile) -> None:
         self.info = info
         self.index = info.index
-        self.hbm = HbmStack(info, calibration, network)
+        self.hbm = HbmStack(info, calibration)
         self.cache = CacheHierarchy(info, calibration)
-        self.sdma = SdmaEngines(info.index, calibration, network)
+        self.sdma = SdmaEngines(info.index, calibration)
         self._calibration = calibration
         self._peer_access: set[int] = set()
 

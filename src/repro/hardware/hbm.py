@@ -19,26 +19,31 @@ from typing import Hashable
 
 from ..core.calibration import CalibrationProfile
 from ..errors import AllocationError
-from ..sim.flow import FlowNetwork
 from ..topology.node import GcdInfo
+
+
+def hbm_channel_id(gcd_index: int) -> Hashable:
+    """Flow-network channel id of a GCD's HBM stack."""
+    return ("hbm", gcd_index)
+
+
+def hbm_channels(
+    gcd: GcdInfo, calibration: CalibrationProfile
+) -> list[tuple[Hashable, float]]:
+    """``(channel id, capacity)`` of a GCD's HBM: its achievable stream rate."""
+    return [(hbm_channel_id(gcd.index), calibration.hbm_stream_bw(gcd.hbm_peak_bw))]
 
 
 class HbmStack:
     """One GCD's HBM: a bandwidth channel plus a capacity ledger."""
 
-    def __init__(
-        self,
-        gcd: GcdInfo,
-        calibration: CalibrationProfile,
-        network: FlowNetwork,
-    ) -> None:
+    def __init__(self, gcd: GcdInfo, calibration: CalibrationProfile) -> None:
         self.gcd_index = gcd.index
         self.capacity_bytes = gcd.hbm_bytes
         self.peak_bandwidth = gcd.hbm_peak_bw
         self.stream_bandwidth = calibration.hbm_stream_bw(gcd.hbm_peak_bw)
         self._allocated = 0
-        self.channel: Hashable = ("hbm", gcd.index)
-        network.add_channel(self.channel, self.stream_bandwidth)
+        self.channel = hbm_channel_id(gcd.index)
 
     @property
     def allocated_bytes(self) -> int:

@@ -2,9 +2,17 @@
 
 :class:`HardwareNode` is the root simulation object.  It owns the DES
 engine and flow network, instantiates every device model from a
-:class:`~repro.topology.node.NodeTopology`, registers all channels,
-and provides the route/channel primitives the runtime layers (HIP,
-MPI, RCCL) compose their transfers from.
+:class:`~repro.topology.node.NodeTopology`, and provides the
+route/channel primitives the runtime layers (HIP, MPI, RCCL) compose
+their transfers from.
+
+Its network adopts the node's :class:`~repro.sim.flow.ChannelTable` in
+one step: every link direction, then the socket fabric, each NUMA
+domain's DRAM and IF port, and each GCD's HBM and SDMA engine pair,
+compiled once per topology and calibration fingerprint
+(:meth:`~repro.topology.compiled.CompiledTopology.channel_table`) and
+shared by every node built on them.  The device models name their
+channel ids; only the network's copy of the capacities is per node.
 
 One :class:`HardwareNode` == one simulated machine.  Benchmarks create
 a fresh node per measurement run, so runs are fully isolated and
@@ -23,14 +31,33 @@ from ..errors import TopologyError
 from ..obs.metrics import MetricsRegistry, resolve_metrics
 from ..obs.spans import SpanRecorder, resolve_spans
 from ..sim.engine import SimEngine
-from ..sim.flow import Flow, FlowNetwork
+from ..sim.flow import ChannelTable, Flow, FlowNetwork
 from ..sim.trace import Tracer
 from ..topology.link import LinkEndpoint, LinkTier
 from ..topology.node import NodeTopology
 from ..topology.routing import Route, RoutingPolicy
-from .cpu import CpuSocket
+from .cpu import CpuSocket, cpu_channels
 from .gcd import GcdDevice
-from .xgmi import channels_for_route, register_link_channels
+from .hbm import hbm_channels
+from .sdma import sdma_channels
+from .xgmi import channels_for_route, link_channels
+
+
+def node_channels(
+    topology: NodeTopology, calibration: CalibrationProfile
+) -> ChannelTable:
+    """Compile a node's channels: links, socket, NUMA, then per GCD.
+
+    Solver ids follow this order: each link's fwd and rev direction,
+    the socket fabric, each NUMA domain's ``dram`` and ``numaport``,
+    and each GCD's ``hbm``, ``sdma in`` and ``sdma out``.
+    """
+    channels = link_channels(topology.links())
+    channels += cpu_channels(topology, calibration)
+    for info in topology.gcds():
+        channels += hbm_channels(info, calibration)
+        channels += sdma_channels(info.index, calibration)
+    return ChannelTable.build(channels)
 
 
 class HardwareNode:
@@ -82,19 +109,22 @@ class HardwareNode:
             self.spans.tracer = Tracer(enabled=True, capacity=trace_capacity)
         self.tracer = self.spans.tracer if self.spans.tracer is not None else Tracer()
         self.engine = engine if engine is not None else SimEngine(metrics=self.metrics)
-        self.network = FlowNetwork(
-            self.engine, metrics=self.metrics, spans=self.spans
-        )
-
-        register_link_channels(self.network, self.topology.links())
-        self.cpu = CpuSocket(self.topology, self.calibration, self.network)
-        self.gcds: dict[int, GcdDevice] = {
-            info.index: GcdDevice(info, self.calibration, self.network)
-            for info in self.topology.gcds()
-        }
-        # Routes and their channels come from the process-wide table
-        # shared by every node on an equal topology.
+        # Routes, their channels and the channel table come from the
+        # process-wide tables shared by every node on an equal topology.
         self._compiled = self.topology.compiled()
+        topology, calibration = self.topology, self.calibration
+        self.network = FlowNetwork(
+            self.engine,
+            metrics=self.metrics,
+            spans=self.spans,
+            channels=self._compiled.channel_table(
+                calibration, lambda: node_channels(topology, calibration)
+            ),
+        )
+        self.cpu = CpuSocket(topology, calibration)
+        self.gcds: dict[int, GcdDevice] = {
+            info.index: GcdDevice(info, calibration) for info in topology.gcds()
+        }
 
         # Fault injection: explicit scenario, else the ambient one.
         self._failed_links: frozenset[str] = frozenset()

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Hashable
 
 from ..core.calibration import CalibrationProfile
-from ..sim.flow import FlowNetwork
 from ..topology.link import LinkTier
 from ..topology.routing import Route
 
@@ -31,22 +30,30 @@ from ..topology.routing import Route
 SDMA_FALLBACK_EFFICIENCY = 0.7
 
 
+def sdma_channel_id(gcd_index: int, direction: str) -> Hashable:
+    """Channel id of a GCD's ``"in"`` (ingress) or ``"out"`` (egress) engine."""
+    return ("sdma", gcd_index, direction)
+
+
+def sdma_channels(
+    gcd_index: int, calibration: CalibrationProfile
+) -> list[tuple[Hashable, float]]:
+    """``(channel id, capacity)`` of a GCD's engine pair, ingress first."""
+    throughput = calibration.sdma_engine_throughput
+    return [
+        (sdma_channel_id(gcd_index, "in"), throughput),
+        (sdma_channel_id(gcd_index, "out"), throughput),
+    ]
+
+
 class SdmaEngines:
     """The SDMA engine pair of one GCD."""
 
-    def __init__(
-        self,
-        gcd_index: int,
-        calibration: CalibrationProfile,
-        network: FlowNetwork,
-    ) -> None:
+    def __init__(self, gcd_index: int, calibration: CalibrationProfile) -> None:
         self.gcd_index = gcd_index
         self._calibration = calibration
-        self.ingress_channel: Hashable = ("sdma", gcd_index, "in")
-        self.egress_channel: Hashable = ("sdma", gcd_index, "out")
-        throughput = calibration.sdma_engine_throughput
-        network.add_channel(self.ingress_channel, throughput)
-        network.add_channel(self.egress_channel, throughput)
+        self.ingress_channel = sdma_channel_id(gcd_index, "in")
+        self.egress_channel = sdma_channel_id(gcd_index, "out")
         self._stalled = {"in": False, "out": False}
 
     def engine_channel(self, *, outbound: bool) -> Hashable:

@@ -4,8 +4,9 @@ Each topology :class:`~repro.topology.link.Link` is full duplex: its
 two directions are independent 50 GB/s (or 36 GB/s) channels, which is
 why the paper writes "50+50 GB/s".  The flow network therefore gets
 *two* channels per link, whose ids each :class:`Link` computes once
-(:attr:`Link.channels`).  This module owns the route→channel
-translation used by every transfer path in the simulator.
+(:attr:`Link.channels`) and :func:`link_channels` lists, with their
+capacities, for the node's channel table.  This module owns the
+route→channel translation used by every transfer path in the simulator.
 
 It also carries the raw protocol parameters from §II-A (16 bits per
 transaction at 25 GT/s) for documentation and for the protocol-level
@@ -62,9 +63,10 @@ def reverse_channels_for_route(route: Route) -> list[Hashable]:
     return [link.channel(dst, src) for src, dst, link in route.hop_pairs()]
 
 
-def register_link_channels(network, links: Iterable[Link]) -> None:
-    """Add both directional channels of every link to a flow network."""
-    for link in links:
-        capacity = link.capacity_per_direction
-        for channel in link.channels:
-            network.add_channel(channel, capacity)
+def link_channels(links: Iterable[Link]) -> list[tuple[Hashable, float]]:
+    """``(channel id, capacity)`` of both directions of every link, fwd first."""
+    return [
+        (channel, link.capacity_per_direction)
+        for link in links
+        for channel in link.channels
+    ]

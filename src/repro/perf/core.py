@@ -483,7 +483,7 @@ HEADLINE_SPEC: tuple[tuple[str, str, str, tuple[str, float] | None], ...] = (
         "epoch_events_per_second",
         "engine_epochs",
         "epoch_events_per_second",
-        (">=", 400_000),
+        (">=", 500_000),
     ),
     ("churn_flows_per_second", "flow_churn", "flows_per_second", None),
     ("metrics_enabled_overhead", "flow_churn", "metrics_enabled_overhead", None),
@@ -492,22 +492,22 @@ HEADLINE_SPEC: tuple[tuple[str, str, str, tuple[str, float] | None], ...] = (
         "capacity_changes_per_second",
         "set_capacity",
         "capacity_changes_per_second",
-        (">=", 5_000),
+        (">=", 25_000),
     ),
     (
         "churn_large_flows_per_second",
         "flow_churn_large",
         "flows_per_second",
-        (">=", 1_000),
+        (">=", 1_200),
     ),
-    ("cache_hit_speedup", "cache_hit", "speedup", (">=", 2.0)),
+    ("cache_hit_speedup", "cache_hit", "speedup", (">=", 12.0)),
     (
         "serve_requests_per_second",
         "serve",
         "serve_requests_per_second",
-        (">=", 5),
+        (">=", 100),
     ),
-    ("serve_whatif_p99_ms", "serve", "serve_whatif_p99_ms", ("<=", 60_000)),
+    ("serve_whatif_p99_ms", "serve", "serve_whatif_p99_ms", ("<=", 2_000)),
 )
 
 

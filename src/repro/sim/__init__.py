@@ -27,7 +27,7 @@ from .engine import (
     Interrupt,
 )
 from .fairshare import FlowSpec, max_min_fair_rates
-from .flow import Channel, Flow, FlowNetwork
+from .flow import Flow, FlowNetwork
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Interrupt",
     "FlowSpec",
     "max_min_fair_rates",
-    "Channel",
     "Flow",
     "FlowNetwork",
     "TraceRecord",

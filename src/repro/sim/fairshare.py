@@ -783,6 +783,18 @@ class FairshareSolver:
             )
         self._capacities[channel] = capacity
 
+    def adopt_capacities(self, capacities: Mapping[ChannelId, float]) -> None:
+        """Take a whole validated channel inventory in one step.
+
+        ``capacities`` is a read-only view built once and shared (see
+        :class:`~repro.sim.flow.ChannelTable`); the solver keeps its own
+        copy, which :meth:`set_capacity` may change.  Only a solver
+        without channels adopts.
+        """
+        if self._capacities:
+            raise SimulationError("only a solver without channels adopts capacities")
+        self._capacities = dict(capacities)
+
     def set_capacity(
         self, channel: ChannelId, capacity: float
     ) -> dict[Hashable, float]:

@@ -1,10 +1,11 @@
 """Fluid-flow network on top of the DES engine.
 
-A :class:`FlowNetwork` owns a set of directional :class:`Channel`\\ s
-(one per Infinity Fabric link direction, per SDMA engine, per HBM
-port…) and simulates concurrent transfers as *fluid flows*: each flow
-moves bytes at a rate determined by the max-min fair allocation over
-the channels it crosses, re-solved whenever a flow starts or finishes.
+A :class:`FlowNetwork` owns a set of directional channels (one per
+Infinity Fabric link direction, per SDMA engine, per HBM port…), each a
+capacity in bytes/s, and simulates concurrent transfers as *fluid
+flows*: each flow moves bytes at a rate determined by the max-min fair
+allocation over the channels it crosses, re-solved whenever a flow
+starts or finishes.
 Between rate changes flows progress linearly, so completion times are
 exact, not time-stepped.
 
@@ -13,6 +14,11 @@ modelling; it captures precisely the phenomena the paper measures —
 bandwidth sharing on oversubscribed links (Fig. 4/5), bottleneck links
 on multi-hop paths (Fig. 6c/10), and engine throughput caps (SDMA's
 ~50 GB/s plateau).
+
+A standalone network registers its channels one by one
+(:meth:`FlowNetwork.add_channel`); a simulated node's network adopts
+its :class:`ChannelTable`, compiled once per topology and calibration,
+in one step.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from ..errors import LinkDownError, SimulationError
@@ -31,35 +38,54 @@ from .fairshare import FairshareSolver, FlowSpec
 _EPSILON_BYTES = 1e-6
 
 
-@dataclass
-class Channel:
-    """A directional transport resource with capacity in bytes/s.
+@dataclass(frozen=True)
+class ChannelTable:
+    """A compiled channel inventory: ids, capacities and solver indices.
 
-    Capacity is strictly positive at construction; fault injection may
-    later change it — including to zero, modeling a failed link — via
-    :meth:`set_capacity` (always through
-    :meth:`FlowNetwork.set_capacity`, which keeps the solver in sync
-    and re-levels in-flight flows).
+    ``channel_ids`` lists the ids in registration order; the solver
+    index of a channel is its position there (``solver_ids``), and
+    ``capacities`` maps each solver index to its capacity in bytes/s.
+    Both mappings are read-only views, so one table can be shared by
+    every network that adopts it, across threads; each adopting
+    network copies the capacities, which fault injection mutates.
     """
 
-    channel_id: Hashable
-    capacity: float
+    channel_ids: tuple[Hashable, ...]
+    solver_ids: Mapping[Hashable, int]
+    capacities: Mapping[int, float]
 
-    def __post_init__(self) -> None:
-        if not self.capacity > 0:  # also rejects NaN
-            raise SimulationError(
-                f"channel {self.channel_id!r} capacity must be positive, "
-                f"got {self.capacity!r}"
-            )
+    @classmethod
+    def build(cls, channels: Iterable[tuple[Hashable, float]]) -> "ChannelTable":
+        """Compile ``(channel id, capacity)`` pairs, validated like
+        :meth:`FlowNetwork.add_channel`."""
+        solver_ids: dict[Hashable, int] = {}
+        capacities: dict[int, float] = {}
+        for channel_id, capacity in channels:
+            _check_new_channel(solver_ids, channel_id, capacity)
+            index = solver_ids[channel_id] = len(capacities)
+            capacities[index] = capacity
+        return cls(
+            tuple(solver_ids),
+            MappingProxyType(solver_ids),
+            MappingProxyType(capacities),
+        )
 
-    def set_capacity(self, capacity: float) -> None:
-        """Set a new capacity (non-negative; zero models a failed link)."""
-        if not capacity >= 0:  # also rejects NaN
-            raise SimulationError(
-                f"channel {self.channel_id!r} capacity must be non-negative, "
-                f"got {capacity!r}"
-            )
-        self.capacity = capacity
+
+def _check_new_channel(
+    registered: Mapping[Hashable, int], channel_id: Hashable, capacity: float
+) -> None:
+    """Reject a duplicate id or a capacity that is not strictly positive.
+
+    The error surfaces at registration, not later mid-solve; links can
+    only *become* zero-capacity (failed) through
+    :meth:`FlowNetwork.set_capacity`.
+    """
+    if channel_id in registered:
+        raise SimulationError(f"channel {channel_id!r} already exists")
+    if not capacity > 0:  # also rejects NaN
+        raise SimulationError(
+            f"channel {channel_id!r} capacity must be positive, got {capacity!r}"
+        )
 
 
 class Flow:
@@ -173,9 +199,9 @@ class FlowNetwork:
         *,
         metrics: "Any" = None,
         spans: "Any" = None,
+        channels: ChannelTable | None = None,
     ) -> None:
         self.engine = engine
-        self._channels: dict[Hashable, Channel] = {}
         self._active: dict[int, Flow] = {}
         self._flow_ids = itertools.count()
         self._last_update = 0.0
@@ -200,9 +226,16 @@ class FlowNetwork:
         self._solver = FairshareSolver(track_bottlenecks=bool(spans))
         # The solver sees dense int channel ids (cheap to hash, unlike
         # tuples such as ('link', 'gcd0-gcd1:quad', 'fwd')); flows,
-        # metrics and blame keys keep the original ids.
-        self._solver_ids: dict[Hashable, int] = {}
-        self._channel_ids: list[Hashable] = []
+        # metrics and blame keys keep the original ids.  Capacities
+        # live only in the solver, by dense id.
+        self._table = channels
+        if channels is None:
+            self._solver_ids: Mapping[Hashable, int] = {}
+            self._channel_ids: Sequence[Hashable] = []
+        else:
+            self._solver_ids = channels.solver_ids
+            self._channel_ids = channels.channel_ids
+            self._solver.adopt_capacities(channels.capacities)
         #: Blame-bucket names by solver channel id (aliases included).
         self._blame_names: dict[int, str] = {}
 
@@ -210,33 +243,36 @@ class FlowNetwork:
     def solver(self) -> FairshareSolver:
         """The live incremental solver (stats live on ``solver.stats``).
 
-        Its channel ids are dense ints in :meth:`add_channel` order,
-        not the network's channel ids.
+        Its channel ids are dense ints in registration order, not the
+        network's channel ids.
         """
         return self._solver
 
     # -- channel management --------------------------------------------------
 
-    def add_channel(self, channel_id: Hashable, capacity: float) -> Channel:
-        """Register a channel; duplicate ids or bad capacities raise.
+    def add_channel(self, channel_id: Hashable, capacity: float) -> None:
+        """Register a channel on a standalone network.
 
-        Capacity must be strictly positive at registration — the error
-        surfaces here, at construction, not later mid-solve.  Links can
-        only *become* zero-capacity (failed) through
-        :meth:`set_capacity`.
+        Duplicate ids or capacities that are not strictly positive
+        raise here, at construction, not later mid-solve.  A network
+        built from a :class:`ChannelTable` takes no further channels.
         """
-        if channel_id in self._channels:
-            raise SimulationError(f"channel {channel_id!r} already exists")
-        if capacity <= 0:
+        if self._table is not None:
             raise SimulationError(
-                f"channel {channel_id!r} capacity must be positive"
+                f"cannot add channel {channel_id!r}: this network adopted "
+                "a compiled channel table"
             )
-        channel = Channel(channel_id, capacity)
-        self._channels[channel_id] = channel
+        _check_new_channel(self._solver_ids, channel_id, capacity)
         index = self._solver_ids[channel_id] = len(self._channel_ids)
         self._channel_ids.append(channel_id)
         self._solver.add_channel(index, capacity)
-        return channel
+
+    def _index(self, channel_id: Hashable) -> int:
+        """Solver id of a registered channel; unknown ids raise."""
+        index = self._solver_ids.get(channel_id)
+        if index is None:
+            raise SimulationError(f"unknown channel {channel_id!r}")
+        return index
 
     def set_capacity(self, channel_id: Hashable, capacity: float) -> None:
         """Change a channel's capacity mid-run, re-leveling in-flight flows.
@@ -252,12 +288,13 @@ class FlowNetwork:
         the same error up front.  Survivors sharing channels with the
         failed flows are re-leveled (they typically speed up).
         """
-        channel = self.channel(channel_id)
-        if capacity < 0:
+        index = self._index(channel_id)
+        if not capacity >= 0:  # also rejects NaN
             raise SimulationError(
-                f"channel {channel_id!r} capacity must be non-negative"
+                f"channel {channel_id!r} capacity must be non-negative, "
+                f"got {capacity!r}"
             )
-        if capacity == channel.capacity:
+        if capacity == self._solver._capacities[index]:
             return
         self._advance_to_now()
         failed: list[Flow] = []
@@ -272,10 +309,7 @@ class FlowNetwork:
                 del self._active[flow.flow_id]
                 updated.update(self._solver.remove_flow(flow.flow_id))
                 flow.rate = 0.0
-        channel.set_capacity(capacity)
-        updated.update(
-            self._solver.set_capacity(self._solver_ids[channel_id], capacity)
-        )
+        updated.update(self._solver.set_capacity(index, capacity))
         if self._metrics:
             self._metrics.counter("network/capacity_changes").inc()
             if failed:
@@ -301,8 +335,7 @@ class FlowNetwork:
         ``repro explain`` as e.g. ``fault:link-degrade:1->3`` instead of
         their plain channel name.  Takes effect at the next re-level.
         """
-        self.channel(channel_id)
-        self._blame_names[self._solver_ids[channel_id]] = alias
+        self._blame_names[self._index(channel_id)] = alias
 
     def clear_blame_alias(self, channel_id: Hashable) -> None:
         """Drop a blame alias; the plain metric name is re-derived lazily."""
@@ -312,18 +345,16 @@ class FlowNetwork:
 
     def has_channel(self, channel_id: Hashable) -> bool:
         """Whether a channel id is registered."""
-        return channel_id in self._channels
+        return channel_id in self._solver_ids
 
-    def channel(self, channel_id: Hashable) -> Channel:
-        """Look up a channel by id."""
-        try:
-            return self._channels[channel_id]
-        except KeyError:
-            raise SimulationError(f"unknown channel {channel_id!r}") from None
+    def capacity(self, channel_id: Hashable) -> float:
+        """Current capacity of a channel in bytes/s; unknown ids raise."""
+        return self._solver._capacities[self._index(channel_id)]
 
     def capacities(self) -> dict[Hashable, float]:
-        """``{channel id: capacity}`` snapshot."""
-        return {cid: c.capacity for cid, c in self._channels.items()}
+        """``{channel id: capacity}`` snapshot, in registration order."""
+        capacities = self._solver._capacities
+        return {cid: capacities[i] for cid, i in self._solver_ids.items()}
 
     # -- flow lifecycle ---------------------------------------------------------
 
@@ -347,17 +378,18 @@ class FlowNetwork:
         """
         channel_ids = tuple(channels)
         solver_ids = self._solver_ids
+        capacities = self._solver._capacities
         route: list[int] = []
         for channel_id in channel_ids:
-            channel = self._channels.get(channel_id)
-            if channel is None:
+            index = solver_ids.get(channel_id)
+            if index is None:
                 raise SimulationError(f"unknown channel {channel_id!r}")
-            if channel.capacity <= 0:
+            if capacities[index] <= 0:
                 raise LinkDownError(
                     f"channel {channel_id!r} is down (capacity 0); "
                     f"cannot start transfer {label!r}"
                 )
-            route.append(solver_ids[channel_id])
+            route.append(index)
         if not size >= 0:  # also rejects NaN
             raise SimulationError(
                 f"transfer size must be non-negative, got {size!r}"
@@ -391,7 +423,7 @@ class FlowNetwork:
             metrics.counter("network/bytes_requested").inc(size)
             for channel_id in dict.fromkeys(channel_ids):  # count repeats once
                 metrics.channel(
-                    channel_id, self._channels[channel_id].capacity
+                    channel_id, capacities[solver_ids[channel_id]]
                 ).flows += 1
         updated = self._solver.add_flow(FlowSpec(flow.flow_id, tuple(route), cap))
         self._defer_resolve(updated)
@@ -414,7 +446,7 @@ class FlowNetwork:
         reports 1.0 while flows are still pinned on it and 0.0 when
         idle, rather than dividing by zero.
         """
-        channel = self.channel(channel_id)
+        capacity = self.capacity(channel_id)
         self.flush_pending()
         occupied = False
         load = 0.0
@@ -422,11 +454,11 @@ class FlowNetwork:
             if channel_id in f.channels:
                 occupied = True
                 load += f.rate
-        if not math.isfinite(channel.capacity):
+        if not math.isfinite(capacity):
             return 0.0
-        if channel.capacity <= 0:
+        if capacity <= 0:
             return 1.0 if occupied else 0.0
-        return load / channel.capacity
+        return load / capacity
 
     # -- internals -----------------------------------------------------------------
 
@@ -472,9 +504,10 @@ class FlowNetwork:
                     entry[1] += 1
                     entry[2] = flow
         metrics = self._metrics
-        channels = self._channels
+        solver_ids = self._solver_ids
+        capacities = self._solver._capacities
         for channel_id, (load, nflows, _) in per_channel.items():
-            metrics.channel(channel_id, channels[channel_id].capacity).account(
+            metrics.channel(channel_id, capacities[solver_ids[channel_id]]).account(
                 start, dt, load, int(nflows)
             )
 

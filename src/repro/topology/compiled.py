@@ -14,6 +14,12 @@ covers ``capacity_override``, so topologies that differ in one link's
 capacity never share a table; failed links are part of each route key,
 so fault detours never leak into healthy lookups.
 
+Each compiled topology also keeps the nodes' channel tables
+(:meth:`CompiledTopology.channel_table`), one per calibration
+fingerprint and at most :data:`MAX_CHANNEL_TABLES` of them, so a node
+adopts its channel ids, capacities and solver indices instead of
+registering them channel by channel.
+
 Route search is stdlib only.  A BFS from the target gives hop
 distances; the fewest-hop route follows them in endpoint order, and
 the widest route is a depth-first search over simple paths of at most
@@ -27,38 +33,57 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
 from ..errors import RoutingError
 from .link import EndpointLike, Link, LinkEndpoint, as_endpoint
 from .routing import Route, RoutingPolicy
 
 if TYPE_CHECKING:
+    from ..core.calibration import CalibrationProfile
+    from ..sim.flow import ChannelTable
     from .node import NodeTopology
 
 #: Compiled topologies kept process-wide, keyed by fingerprint.
 MAX_COMPILED = 16
+#: Channel tables kept per compiled topology, keyed by calibration
+#: fingerprint (calibration fits try many profiles).
+MAX_CHANNEL_TABLES = 16
 
 _NO_LINKS: frozenset[str] = frozenset()
 _TABLE: "OrderedDict[str, CompiledTopology]" = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 
+_T = TypeVar("_T")
+
+
+def _memoised(
+    table: "OrderedDict[str, _T]", key: str, build: Callable[[], _T], bound: int
+) -> _T:
+    """``table[key]``, built on a miss; least recently used past ``bound`` go.
+
+    Builds run outside the lock; when two threads race, both get the
+    value published first.
+    """
+    with _TABLE_LOCK:
+        value = table.get(key)
+        if value is not None:
+            table.move_to_end(key)
+            return value
+    value = build()
+    with _TABLE_LOCK:
+        value = table.setdefault(key, value)
+        table.move_to_end(key)
+        while len(table) > bound:
+            table.popitem(last=False)
+    return value
+
 
 def compile_topology(topology: "NodeTopology") -> "CompiledTopology":
     """The shared :class:`CompiledTopology` of ``topology``'s fingerprint."""
-    fingerprint = topology.fingerprint()
-    with _TABLE_LOCK:
-        compiled = _TABLE.get(fingerprint)
-        if compiled is not None:
-            _TABLE.move_to_end(fingerprint)
-            return compiled
-    compiled = CompiledTopology(topology)
-    with _TABLE_LOCK:
-        compiled = _TABLE.setdefault(fingerprint, compiled)
-        _TABLE.move_to_end(fingerprint)
-        while len(_TABLE) > MAX_COMPILED:
-            _TABLE.popitem(last=False)
-    return compiled
+    return _memoised(
+        _TABLE, topology.fingerprint(), lambda: CompiledTopology(topology), MAX_COMPILED
+    )
 
 
 class CompiledTopology:
@@ -109,6 +134,7 @@ class CompiledTopology:
                         stack.append(peer)
         self._routes: dict[tuple, Route] = {}
         self._fabric: dict[tuple, tuple[Hashable, ...]] = {}
+        self._channel_tables: "OrderedDict[str, ChannelTable]" = OrderedDict()
 
     # -- memoised lookups ------------------------------------------------
 
@@ -149,6 +175,23 @@ class CompiledTopology:
                 link.channel(a, b) for a, b, link in route.hop_pairs()
             )
         return channels
+
+    def channel_table(
+        self,
+        calibration: "CalibrationProfile",
+        build: "Callable[[], ChannelTable]",
+    ) -> "ChannelTable":
+        """The nodes' shared channel table under ``calibration``.
+
+        ``build`` compiles it on the first request per calibration
+        fingerprint; at most :data:`MAX_CHANNEL_TABLES` are kept.
+        """
+        return _memoised(
+            self._channel_tables,
+            calibration.fingerprint(),
+            build,
+            MAX_CHANNEL_TABLES,
+        )
 
     # -- search -------------------------------------------------------------
 

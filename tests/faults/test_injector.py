@@ -90,7 +90,7 @@ class TestLinkDegrade:
         node.engine.run()
         link = resolve_link(node.topology, DEAD_LINK)
         for channel in both_channels(link):
-            assert node.network.channel(channel).capacity == pytest.approx(
+            assert node.network.capacity(channel) == pytest.approx(
                 0.5 * link.capacity_per_direction
             )
 
@@ -105,7 +105,7 @@ class TestLinkDegrade:
         node.engine.run()
         link = resolve_link(node.topology, DEAD_LINK)
         for channel in both_channels(link):
-            assert node.network.channel(channel).capacity == pytest.approx(
+            assert node.network.capacity(channel) == pytest.approx(
                 0.8 * link.capacity_per_direction
             )
 
@@ -119,7 +119,7 @@ class TestLinkDegrade:
         node.engine.run()
         link = resolve_link(node.topology, DEAD_LINK)
         for channel in both_channels(link):
-            assert node.network.channel(channel).capacity == pytest.approx(
+            assert node.network.capacity(channel) == pytest.approx(
                 link.capacity_per_direction
             )
             assert channel not in node.network._blame_names
@@ -154,7 +154,7 @@ class TestLinkFail:
         # Heal timer restored capacity and the failed-link registry.
         assert not node.failed_links()
         for channel in both_channels(link):
-            assert node.network.channel(channel).capacity == pytest.approx(
+            assert node.network.capacity(channel) == pytest.approx(
                 link.capacity_per_direction
             )
 
@@ -252,14 +252,14 @@ class TestPageMigrationStorm:
             )
         )
         channel = node.cpu.dram_channel(0)
-        healthy = node.network.channel(channel).capacity
+        healthy = node.network.capacity(channel)
         sampled = []
 
         def sampler():
             yield node.engine.timeout(0.25)
-            sampled.append(node.network.channel(channel).capacity)
+            sampled.append(node.network.capacity(channel))
 
         node.engine.process(sampler())
         node.engine.run()
         assert sampled == [pytest.approx(healthy - rate)]
-        assert node.network.channel(channel).capacity == pytest.approx(healthy)
+        assert node.network.capacity(channel) == pytest.approx(healthy)

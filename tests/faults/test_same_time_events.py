@@ -19,7 +19,7 @@ LINK = "gcd1-gcd3:single"
 def degraded_capacity(node):
     link = resolve_link(node.topology, LINK)
     (channel, _) = both_channels(link)
-    return node.network.channel(channel).capacity, link.capacity_per_direction
+    return node.network.capacity(channel), link.capacity_per_direction
 
 
 @pytest.mark.parametrize(
@@ -57,6 +57,6 @@ def test_same_time_events_on_distinct_links_all_apply():
     for spec, factor in ((LINK, 0.5), (other, 0.25)):
         link = resolve_link(node.topology, spec)
         for channel in both_channels(link):
-            assert node.network.channel(channel).capacity == pytest.approx(
+            assert node.network.capacity(channel) == pytest.approx(
                 factor * link.capacity_per_direction
             )

@@ -8,18 +8,10 @@ from repro.hardware.cache import AccessClass, CacheHierarchy
 from repro.hardware.cpu import CpuSocket
 from repro.hardware.gcd import GcdDevice
 from repro.hardware.hbm import HbmStack
-from repro.hardware.sdma import SdmaEngines
 from repro.hardware.xgmi import protocol_peak_bandwidth
-from repro.sim.engine import SimEngine
-from repro.sim.flow import FlowNetwork
 from repro.topology.link import LinkTier
 from repro.topology.node import GcdInfo
 from repro.units import GiB, MiB
-
-
-@pytest.fixture
-def network():
-    return FlowNetwork(SimEngine())
 
 
 @pytest.fixture
@@ -34,30 +26,31 @@ class TestXgmiProtocol:
 
 
 class TestHbm:
-    def test_stream_bandwidth_is_87_percent(self, gcd_info, network, calibration):
-        hbm = HbmStack(gcd_info, calibration, network)
+    def test_stream_bandwidth_is_87_percent(self, gcd_info, calibration):
+        hbm = HbmStack(gcd_info, calibration)
         assert hbm.stream_bandwidth == pytest.approx(0.875 * 1.6e12)
 
-    def test_capacity_ledger(self, gcd_info, network, calibration):
-        hbm = HbmStack(gcd_info, calibration, network)
+    def test_capacity_ledger(self, gcd_info, calibration):
+        hbm = HbmStack(gcd_info, calibration)
         hbm.reserve(10 * GiB)
         assert hbm.allocated_bytes == 10 * GiB
         hbm.release(10 * GiB)
         assert hbm.free_bytes == hbm.capacity_bytes
 
-    def test_oom(self, gcd_info, network, calibration):
-        hbm = HbmStack(gcd_info, calibration, network)
+    def test_oom(self, gcd_info, calibration):
+        hbm = HbmStack(gcd_info, calibration)
         with pytest.raises(AllocationError):
             hbm.reserve(hbm.capacity_bytes + 1)
 
-    def test_over_release_rejected(self, gcd_info, network, calibration):
-        hbm = HbmStack(gcd_info, calibration, network)
+    def test_over_release_rejected(self, gcd_info, calibration):
+        hbm = HbmStack(gcd_info, calibration)
         with pytest.raises(AllocationError):
             hbm.release(1)
 
-    def test_channel_registered(self, gcd_info, network, calibration):
-        HbmStack(gcd_info, calibration, network)
-        assert network.has_channel(("hbm", 0))
+    def test_channel_registered(self, node):
+        hbm = node.gcd(0).hbm
+        assert hbm.channel == ("hbm", 0)
+        assert node.network.capacity(hbm.channel) == hbm.stream_bandwidth
 
 
 class TestCache:
@@ -96,10 +89,12 @@ class TestCache:
 
 
 class TestSdma:
-    def test_engine_channels(self, network, calibration):
-        sdma = SdmaEngines(0, calibration, network)
-        assert network.has_channel(sdma.ingress_channel)
-        assert network.has_channel(sdma.egress_channel)
+    def test_engine_channels(self, node, calibration):
+        sdma = node.gcd(0).sdma
+        assert sdma.ingress_channel == ("sdma", 0, "in")
+        assert sdma.egress_channel == ("sdma", 0, "out")
+        for channel in (sdma.ingress_channel, sdma.egress_channel):
+            assert node.network.capacity(channel) == calibration.sdma_engine_throughput
         assert sdma.engine_channel(outbound=True) == sdma.egress_channel
 
     def test_rate_caps_reproduce_fig6c_tiers(self, node):
@@ -124,24 +119,24 @@ class TestSdma:
 
 
 class TestCpuSocket:
-    def test_channels_registered(self, topology, calibration):
-        network = FlowNetwork(SimEngine())
-        cpu = CpuSocket(topology, calibration, network)
+    def test_channels_registered(self, node, calibration):
+        cpu, network = node.cpu, node.network
         for numa in range(4):
-            assert network.has_channel(("dram", numa))
-            assert network.has_channel(("numaport", numa))
-        assert network.has_channel(("socket",))
+            assert cpu.dram_channel(numa) == ("dram", numa)
+            assert cpu.port_channel(numa) == ("numaport", numa)
+            assert network.capacity(("dram", numa)) == calibration.dram_bw_per_numa
+            assert network.capacity(("numaport", numa)) == calibration.numa_ifport_bw
+        assert cpu.socket_channel == ("socket",)
+        assert network.capacity(("socket",)) == calibration.socket_fabric_bw
         assert cpu.total_dram_bandwidth == pytest.approx(204.8e9)
 
     def test_local_path_has_no_socket_hop(self, topology, calibration):
-        network = FlowNetwork(SimEngine())
-        cpu = CpuSocket(topology, calibration, network)
+        cpu = CpuSocket(topology, calibration)
         channels = cpu.host_side_channels(buffer_numa=0, gcd_index=0)
         assert ("socket",) not in channels
 
     def test_mismatched_path_crosses_socket(self, topology, calibration):
-        network = FlowNetwork(SimEngine())
-        cpu = CpuSocket(topology, calibration, network)
+        cpu = CpuSocket(topology, calibration)
         channels = cpu.host_side_channels(buffer_numa=3, gcd_index=0)
         assert ("socket",) in channels
         assert ("dram", 3) in channels

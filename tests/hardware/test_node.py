@@ -25,7 +25,7 @@ class TestConstruction:
             fwd, rev = both_channels(link)
             assert node.network.has_channel(fwd)
             assert node.network.has_channel(rev)
-            assert node.network.channel(fwd).capacity == link.capacity_per_direction
+            assert node.network.capacity(fwd) == link.capacity_per_direction
 
     def test_gcd_lookup_raises(self, node):
         with pytest.raises(TopologyError):

@@ -14,7 +14,7 @@ from repro.sim.fairshare import (
     allocation_is_feasible,
     max_min_fair_rates,
 )
-from repro.sim.flow import Channel, FlowNetwork
+from repro.sim.flow import ChannelTable, FlowNetwork
 
 from .flow_oracle import reference_components, reference_fill
 
@@ -107,12 +107,13 @@ class TestValidation:
         assert solver.rate("f") == 100.0
 
     def test_channel_rejects_nan_capacity(self):
+        # A node's channels register through its compiled table.
         with pytest.raises(SimulationError, match="channel 'c' capacity"):
-            Channel("c", math.nan)
-        channel = Channel("c", 100.0)
+            ChannelTable.build([("c", math.nan)])
+        net = FlowNetwork(SimEngine(), channels=ChannelTable.build([("c", 100.0)]))
         with pytest.raises(SimulationError, match="channel 'c' capacity"):
-            channel.set_capacity(math.nan)
-        assert channel.capacity == 100.0
+            net.set_capacity("c", math.nan)
+        assert net.capacity("c") == 100.0
 
     def test_network_rejects_nan_capacity(self):
         net = FlowNetwork(SimEngine())

@@ -16,7 +16,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimEngine
-from repro.sim.flow import Channel, FlowNetwork
+from repro.sim.flow import ChannelTable, FlowNetwork
 
 
 def _network():
@@ -41,12 +41,13 @@ class TestUtilizationGuards:
 
     def test_zero_capacity_with_pinned_flows_reads_saturated(self):
         """Defensive guard: if capacity hits zero *under* a flow (e.g. a
-        direct Channel poke that bypasses the re-level), the channel
-        reads fully utilized, not a ZeroDivisionError."""
+        direct poke of the solver's capacity that bypasses the
+        re-level), the channel reads fully utilized, not a
+        ZeroDivisionError."""
         _, network = _network()
         network.add_channel("c", 10.0)
         network.transfer(["c"], 100.0)
-        network.channel("c").set_capacity(0.0)
+        network.solver._capacities[0] = 0.0
         assert network.utilization("c") == 1.0
 
     def test_normal_utilization_unchanged(self):
@@ -93,16 +94,21 @@ class TestChannelValidation:
         with pytest.raises(SimulationError, match="already exists"):
             network.add_channel("c", 2.0)
 
-    def test_channel_constructor_rejects_non_positive(self):
+    def test_channel_table_rejects_non_positive(self):
+        # A node's channels register through its compiled table, which
+        # validates like add_channel.
         with pytest.raises(SimulationError, match="positive"):
-            Channel("c", 0.0)
+            ChannelTable.build([("c", 0.0)])
+        with pytest.raises(SimulationError, match="already exists"):
+            ChannelTable.build([("c", 1.0), ("c", 2.0)])
 
     def test_channel_set_capacity_rejects_negative(self):
-        channel = Channel("c", 1.0)
+        _, network = _network()
+        network.add_channel("c", 1.0)
         with pytest.raises(SimulationError, match="non-negative"):
-            channel.set_capacity(-1.0)
-        channel.set_capacity(0.0)  # zero = failed link, legal
-        assert channel.capacity == 0.0
+            network.set_capacity("c", -1.0)
+        network.set_capacity("c", 0.0)  # zero = failed link, legal
+        assert network.capacity("c") == 0.0
 
 
 class TestTransferValidation:
