@@ -40,8 +40,9 @@ constraints are leveled per distinct cap value: flows with equal caps
 share one headroom, one freeze test and one clamp, so a round costs
 one step per cap group, not per capped flow.  A fill that indexes no
 bindable channel gives every flow its cap in closed form; it walks the
-cap groups' rounds only to record a trace or freeze reasons.  A lone
-flow takes a closed-form fast path.
+cap groups' rounds at once only for freeze reasons, and for a trace
+only when a replay reads it (see :class:`_Trace`).  A lone flow takes
+a closed-form fast path.
 ``tests/sim/flow_oracle.py`` holds an independent set-based reference
 loop the core must match bitwise.
 
@@ -123,6 +124,15 @@ class _Trace:
 
     Recording is pure observation: the solve performs identical
     IEEE-754 operations with or without a trace attached.
+
+    A fill that indexes no channel does not write its rounds at once:
+    it stores the inputs of its cap-group walk in ``deferred`` (the
+    fill's own flow list, level and round), and :meth:`walk` appends
+    the rounds when a replay first reads the trace.  A trace dropped
+    unread (split, merge, re-level) is never walked.  The walk appends
+    after any rounds already held, exactly where the fill would have
+    written them, and a trace holds at most one deferred walk: a
+    replay walks the trace before it continues or resumes the fill.
     """
 
     __slots__ = (
@@ -131,6 +141,7 @@ class _Trace:
         "full_round",
         "binding_channels",
         "binding_caps",
+        "deferred",
     )
 
     def __init__(self) -> None:
@@ -139,6 +150,15 @@ class _Trace:
         self.full_round: dict[ChannelId, int] = {}
         self.binding_channels: list[tuple[ChannelId, ...]] = []
         self.binding_caps: list[tuple[Hashable, ...]] = []
+        self.deferred: "tuple[Sequence[FlowSpec], float, int] | None" = None
+
+    def walk(self) -> None:
+        """Append the deferred cap-group rounds, if any."""
+        deferred = self.deferred
+        if deferred is not None:
+            self.deferred = None
+            flows, level, round_index = deferred
+            _walk_cap_groups(flows, None, self, level, round_index)
 
 
 @dataclass(frozen=True)
@@ -355,8 +375,12 @@ def _fill(
     When no channel is indexed, every flow freezes at its cap, so the
     rates are the caps in flow order (an uncapped flow is an error);
     the rounds are walked over the cap groups alone
-    (:func:`_walk_cap_groups`), and only to record a trace or freeze
-    reasons.  The loop below therefore always has a channel.
+    (:func:`_walk_cap_groups`).  With ``bottlenecks`` the walk runs at
+    once.  With only a ``trace``, ``flows`` (a list the caller built for
+    this fill and never changes), ``level`` and ``round_index`` are
+    stored on it, and the walk waits for a replay to read the trace
+    (:meth:`_Trace.walk`).  The loop below therefore always has a
+    channel.
 
     A fresh solve starts from full capacities at level 0.0 in round 0.
     A resumed one (dirty-set replay) passes the reconstructed
@@ -397,8 +421,11 @@ def _fill(
             raise SimulationError(
                 f"unconstrained flows (no channels and no cap): {sorted(unbounded)}"
             )
-        if trace is not None or bottlenecks is not None:
+        if bottlenecks is not None:
             _walk_cap_groups(flows, bottlenecks, trace, level, round_index)
+        elif trace is not None:
+            # Only a replay reads the rounds: walk them when it does.
+            trace.deferred = (flows, level, round_index)
         return rates
     channel_ids = list(index)
     capacity = [capacities[channel] for channel in channel_ids]
@@ -662,6 +689,10 @@ class SolverStats:
     flows_removed: int = 0
     component_solves: int = 0
     flows_releveled: int = 0
+    #: Largest component re-leveled by a full solve or a replay that
+    #: resumed the fill.  A replay that certifies every round (and
+    #: continues over the added flows only) does not update it, so a
+    #: component that only grows through such replays is not counted.
     largest_component: int = 0
     capacity_changes: int = 0
     #: Churn operations absorbed by dirty-set replay (no full solve).
@@ -1164,6 +1195,7 @@ class FairshareSolver:
         trace = self._traces.pop(old_comp, None)
         if trace is None:
             return None
+        trace.walk()
 
         capacities = self._capacities
         deltas = trace.deltas

@@ -18,9 +18,9 @@ per-flow loop:
 Rates, freeze reasons and traces must equal ``reference_fill`` with
 ``==``, and the incremental solver must equal the batch solve after
 every churn operation.  A fill that indexes no channel returns the caps
-and walks the cap groups only to record a trace or freeze reasons;
-``TestAllCappedFill`` checks that walk round for round, insertion order
-included, for fresh and resumed fills.
+and walks the cap groups only for freeze reasons or, once a replay
+reads it, a trace; ``TestAllCappedFill`` checks that walk round for
+round, insertion order included, for fresh and resumed fills.
 """
 
 from __future__ import annotations
@@ -266,6 +266,14 @@ class TestAllCappedFill:
         assert list(rates.items()) == list(reference.items())
         assert rates == {flow.flow_id: flow.cap for flow in flows}
         if with_trace:
+            # Without freeze reasons the walk waits for a reader; the
+            # rounds it then appends are the ones checked below.
+            if with_blame:
+                assert trace.deferred is None
+            else:
+                assert trace.deltas == [] and trace.freeze_round == {}
+                trace.walk()
+                assert trace.deferred is None
             assert trace.deltas == reference_trace.deltas
             assert trace.binding_caps == reference_trace.binding_caps
             assert trace.binding_channels == reference_trace.binding_channels
